@@ -49,10 +49,11 @@ pub struct FreeBatch(u64);
 /// latches and the pending-free latch carry the synchronization.
 pub struct BuddyManager {
     // One directory latch per space (§17): a guard is held across the
-    // space's in-memory directory work *and* its single dir-page write
-    // (io = allowed), and is always dropped before the superdirectory
-    // (rank 40) is updated — the belief is recorded from a value read
-    // under the guard. Never hold two space guards at once.
+    // space's in-memory directory work *and*, on a write-through space,
+    // its single dir-page write (io = allowed), and is always dropped
+    // before the superdirectory (rank 40) is updated — the belief is
+    // recorded from a value read under the guard. Never hold two space
+    // guards at once.
     // lock-class: spaces = buddy.space rank = 50 io = allowed
     spaces: Vec<Mutex<BuddySpace>>,
     superdir: SuperDirectory,
@@ -89,10 +90,10 @@ struct PendingFrees {
 }
 
 impl BuddyManager {
-    /// Format `num_spaces` spaces of `pages_per_space` data pages each,
-    /// laid out back to back from volume page 0 (each space owns
-    /// `pages_per_space + 1` volume pages, the first being its
-    /// directory).
+    /// Format `num_spaces` write-through spaces of `pages_per_space`
+    /// data pages each, laid out back to back from volume page 0 (each
+    /// space owns `pages_per_space + 1` volume pages, the first being
+    /// its directory). Writes every directory page.
     // Constructors take the volume handle by value: callers hand over
     // their clone even though internally each space gets its own.
     #[allow(clippy::needless_pass_by_value)]
@@ -101,31 +102,67 @@ impl BuddyManager {
         num_spaces: usize,
         pages_per_space: u64,
     ) -> Result<BuddyManager> {
-        let geometry = Geometry::for_page_size(volume.page_size());
+        Self::format(&volume, num_spaces, pages_per_space, |base| {
+            BuddySpace::create(volume.clone(), base, pages_per_space)
+        })
+    }
+
+    /// [`Self::create`] with write-back spaces: nothing is written until
+    /// [`Self::flush_directories`], and later mutations only mark their
+    /// directory dirty. For stores whose directories are derived state
+    /// (a durable store rebuilds them from its log on every open).
+    #[allow(clippy::needless_pass_by_value)]
+    pub fn create_write_back(
+        volume: SharedVolume,
+        num_spaces: usize,
+        pages_per_space: u64,
+    ) -> Result<BuddyManager> {
+        Self::format(&volume, num_spaces, pages_per_space, |base| {
+            Ok(BuddySpace::create_write_back(
+                volume.clone(),
+                base,
+                pages_per_space,
+            ))
+        })
+    }
+
+    fn format(
+        volume: &SharedVolume,
+        num_spaces: usize,
+        pages_per_space: u64,
+        mut space_at: impl FnMut(PageId) -> Result<BuddySpace>,
+    ) -> Result<BuddyManager> {
         assert!(num_spaces > 0, "need at least one buddy space");
         let span = pages_per_space + 1;
         assert!(
             span * num_spaces as u64 <= volume.num_pages(),
             "volume too small for {num_spaces} spaces of {pages_per_space} pages"
         );
-        let mut spaces = Vec::with_capacity(num_spaces);
-        for i in 0..num_spaces {
-            spaces.push(BuddySpace::create(
-                volume.clone(),
-                i as u64 * span,
-                pages_per_space,
-            )?);
-        }
+        let spaces = (0..num_spaces)
+            .map(|i| space_at(i as u64 * span))
+            .collect::<Result<Vec<_>>>()?;
+        Ok(Self::assemble(volume, spaces, pages_per_space))
+    }
+
+    fn assemble(volume: &SharedVolume, spaces: Vec<BuddySpace>, pages_per_space: u64) -> Self {
         let optimistic = spaces[0].dir().space_max_type();
-        Ok(BuddyManager {
+        BuddyManager {
+            superdir: SuperDirectory::new(spaces.len(), optimistic),
             spaces: spaces.into_iter().map(Mutex::new).collect(),
-            superdir: SuperDirectory::new(num_spaces, optimistic),
             use_superdir: true,
-            geometry,
+            geometry: Geometry::for_page_size(volume.page_size()),
             pages_per_space,
             pending: Mutex::new(PendingFrees::default()),
             obs: None,
-        })
+        }
+    }
+
+    /// Write every dirty directory page once (write-back spaces).
+    pub fn flush_directories(&self) -> Result<()> {
+        for s in &self.spaces {
+            s.lock().flush()?;
+        }
+        Ok(())
     }
 
     /// Reopen a previously formatted manager by reading every space
@@ -137,26 +174,11 @@ impl BuddyManager {
         num_spaces: usize,
         pages_per_space: u64,
     ) -> Result<BuddyManager> {
-        let geometry = Geometry::for_page_size(volume.page_size());
         let span = pages_per_space + 1;
-        let mut spaces = Vec::with_capacity(num_spaces);
-        for i in 0..num_spaces {
-            spaces.push(BuddySpace::open(
-                volume.clone(),
-                i as u64 * span,
-                pages_per_space,
-            )?);
-        }
-        let optimistic = spaces[0].dir().space_max_type();
-        Ok(BuddyManager {
-            spaces: spaces.into_iter().map(Mutex::new).collect(),
-            superdir: SuperDirectory::new(num_spaces, optimistic),
-            use_superdir: true,
-            geometry,
-            pages_per_space,
-            pending: Mutex::new(PendingFrees::default()),
-            obs: None,
-        })
+        let spaces = (0..num_spaces)
+            .map(|i| BuddySpace::open(volume.clone(), i as u64 * span, pages_per_space))
+            .collect::<Result<Vec<_>>>()?;
+        Ok(Self::assemble(&volume, spaces, pages_per_space))
     }
 
     /// Attach an observability domain: allocation/free size histograms
@@ -726,6 +748,24 @@ mod tests {
                 .unwrap_or(0)
                 >= 3
         );
+    }
+
+    #[test]
+    fn write_back_manager_writes_each_dirty_directory_once() {
+        let vol = MemVolume::with_profile(512, 65 * 3 + 8, DiskProfile::FREE).shared();
+        let m = BuddyManager::create_write_back(vol.clone(), 3, 64).unwrap();
+        let a = m.allocate(8).unwrap();
+        m.allocate_near(4, 2).unwrap();
+        m.free(a.start, a.pages).unwrap();
+        assert_eq!(vol.stats().page_writes, 0);
+        m.flush_directories().unwrap();
+        assert_eq!(vol.stats().page_writes, 3, "every fresh directory is dirty");
+        m.allocate_near(1, 1).unwrap();
+        m.flush_directories().unwrap();
+        assert_eq!(vol.stats().page_writes, 4, "only space 1 changed since");
+        let reopened = BuddyManager::open(vol, 3, 64).unwrap();
+        reopened.check_invariants().unwrap();
+        assert_eq!(reopened.total_free_pages(), m.total_free_pages());
     }
 
     #[test]

@@ -3,10 +3,13 @@
 //!
 //! All allocation state lives in the directory page; data pages are
 //! never touched by the allocator. The directory is decoded once when
-//! the space is opened and written back (one page write) after every
-//! mutation, so the volume's I/O counters exhibit the paper's §3.3
-//! claim: one disk access per allocation or deallocation, regardless of
-//! segment size.
+//! the space is opened. A **write-through** space writes it back (one
+//! page write) after every mutation, so the volume's I/O counters
+//! exhibit the paper's §3.3 claim: one disk access per allocation or
+//! deallocation, regardless of segment size. A **write-back** space
+//! only marks the directory dirty and writes it on [`BuddySpace::flush`]
+//! — the mode of durable stores, whose recovery rebuilds every
+//! directory from the log and never reads one back.
 
 use eos_pager::{PageId, SharedVolume};
 
@@ -22,22 +25,40 @@ pub struct BuddySpace {
     /// Volume page of data page 0 (`dir_page + 1`).
     data_base: PageId,
     dir: SpaceDir,
+    /// Defer directory writes to [`Self::flush`] instead of writing
+    /// after every mutation.
+    write_back: bool,
+    /// The in-memory directory differs from the page on the volume.
+    dirty: bool,
 }
 
 impl BuddySpace {
-    /// Format a fresh space: directory at `base_page`, `data_pages` data
-    /// pages directly after it. Writes the initial directory page.
+    /// Format a fresh write-through space: directory at `base_page`,
+    /// `data_pages` data pages directly after it. Writes the initial
+    /// directory page.
     pub fn create(volume: SharedVolume, base_page: PageId, data_pages: u64) -> Result<BuddySpace> {
+        let mut space = Self::create_write_back(volume, base_page, data_pages);
+        space.write_back = false;
+        space.flush()?;
+        Ok(space)
+    }
+
+    /// Format a fresh write-back space in memory only: the directory is
+    /// dirty and reaches the volume on the first [`Self::flush`].
+    pub fn create_write_back(
+        volume: SharedVolume,
+        base_page: PageId,
+        data_pages: u64,
+    ) -> BuddySpace {
         let geometry = Geometry::for_page_size(volume.page_size());
-        let dir = SpaceDir::create(geometry, data_pages);
-        let mut space = BuddySpace {
+        BuddySpace {
             volume,
             dir_page: base_page,
             data_base: base_page + 1,
-            dir,
-        };
-        space.flush()?;
-        Ok(space)
+            dir: SpaceDir::create(geometry, data_pages),
+            write_back: true,
+            dirty: true,
+        }
     }
 
     /// Open an existing space by reading and validating its directory
@@ -51,13 +72,28 @@ impl BuddySpace {
             dir_page: base_page,
             data_base: base_page + 1,
             dir,
+            write_back: false,
+            dirty: false,
         })
     }
 
-    /// Write the directory page back to the volume.
+    /// Write the directory page to the volume if it is dirty.
     pub fn flush(&mut self) -> Result<()> {
-        self.volume
-            .write_pages(self.dir_page, &self.dir.to_page())?;
+        if self.dirty {
+            self.volume
+                .write_pages(self.dir_page, &self.dir.to_page())?;
+            self.dirty = false;
+        }
+        Ok(())
+    }
+
+    /// Record a directory mutation: write it through, or just mark it
+    /// dirty on a write-back space.
+    fn mutated(&mut self) -> Result<()> {
+        self.dirty = true;
+        if !self.write_back {
+            self.flush()?;
+        }
         Ok(())
     }
 
@@ -65,7 +101,7 @@ impl BuddySpace {
     /// precision). Returns the first **volume** page of the run.
     pub fn allocate(&mut self, pages: u64) -> Result<PageId> {
         let data_page = self.dir.alloc_any(pages)?;
-        self.flush()?;
+        self.mutated()?;
         Ok(self.data_base + data_page)
     }
 
@@ -74,7 +110,7 @@ impl BuddySpace {
     pub fn allocate_at(&mut self, start: PageId, pages: u64) -> Result<()> {
         let data_page = self.to_data_page(start)?;
         self.dir.alloc_at(data_page, pages)?;
-        self.flush()?;
+        self.mutated()?;
         Ok(())
     }
 
@@ -83,7 +119,7 @@ impl BuddySpace {
     pub fn free(&mut self, start: PageId, pages: u64) -> Result<()> {
         let data_page = self.to_data_page(start)?;
         self.dir.free_range(data_page, pages)?;
-        self.flush()?;
+        self.mutated()?;
         Ok(())
     }
 
@@ -170,6 +206,31 @@ mod tests {
             let after = vol.stats();
             assert_eq!(after.page_writes - before.page_writes, 1, "free {req}");
         }
+    }
+
+    #[test]
+    fn write_back_space_writes_only_on_flush() {
+        let vol = mem(2000);
+        let mut s = BuddySpace::create_write_back(vol.clone(), 0, 1024);
+        for req in [1u64, 7, 64, 512] {
+            let p = s.allocate(req).unwrap();
+            s.free(p, req).unwrap();
+        }
+        s.allocate(9).unwrap();
+        assert_eq!(
+            vol.stats().page_writes,
+            0,
+            "no directory write before flush"
+        );
+        s.flush().unwrap();
+        s.flush().unwrap();
+        assert_eq!(
+            vol.stats().page_writes,
+            1,
+            "one write for the dirty directory, none once it is clean"
+        );
+        let reopened = BuddySpace::open(vol, 0, 1024).unwrap();
+        assert_eq!(reopened.dir().to_page(), s.dir().to_page());
     }
 
     #[test]

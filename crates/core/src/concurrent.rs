@@ -369,7 +369,8 @@ impl ConcurrentStore {
 
     /// Release one pin at `epoch` and apply every deferred-free batch
     /// the oldest remaining pin has now passed. The reclaim itself
-    /// (directory-page I/O) runs under the store write latch, with the
+    /// (directory-page writes on a log-less store; in-memory on a
+    /// durable one) runs under the store write latch, with the
     /// MVCC latch already released. Batches are parked only by
     /// [`Self::publish_commit`], *after* their commit's log force, so
     /// every drained batch's commit frame is already durable.
@@ -439,7 +440,7 @@ impl ConcurrentStore {
     /// the free batch immediately (no reader pinned an older epoch) or
     /// park it on the epoch-tagged deferred list. Called with the store
     /// write latch held; the MVCC latch nests inside it and is released
-    /// before the frees' directory I/O.
+    /// before the frees are applied.
     // durability: requires(commit-frame)
     fn publish_commit(&self, st: &mut ObjectStore, prep: &PreparedCommit) -> Result<()> {
         let inner = &*self.inner;
@@ -477,12 +478,18 @@ impl ConcurrentStore {
                     epoch | PIN_TRACE_BIT,
                     0,
                 );
-                false
+                None
             } else {
-                true
+                Some(mv.epoch)
             }
         };
-        if apply_now {
+        if let Some(epoch) = apply_now {
+            inner.cobs.metrics.pipe_event(
+                PipeKind::Instant,
+                "mvcc.apply",
+                epoch | PIN_TRACE_BIT,
+                0,
+            );
             // durability: mutates(mvcc-publish)
             st.apply_commit(prep.batch)?;
         }

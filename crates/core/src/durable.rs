@@ -458,8 +458,25 @@ pub struct DurableWal {
     /// checkpoint always publishes to the *other* slot, so a torn
     /// superblock write leaves this one intact.
     sb_slot: u8,
-    /// Byte offset within the active half where the next frame goes.
+    /// Byte offset within the active half where the next frame write
+    /// starts (held Touch frames go there first).
     head: u64,
+    /// The active half's bytes from the start of `head`'s page up to
+    /// `head` (empty when `head` is page-aligned). A frame write starts
+    /// its buffer with these, so the log never reads its own tail back.
+    tail: Vec<u8>,
+    /// Encoded Touch frames appended since the last frame write. The
+    /// next Op, Commit, Abort or Checkpoint frame (or dropping the log)
+    /// writes them in the same volume write; nothing forces them on
+    /// their own, because no recovery step needs a Touch.
+    held: Vec<u8>,
+    /// Highest epoch this log has stamped on any frame. Every flip takes
+    /// a fresh one, so a flip retried after a failed attempt never
+    /// shares an epoch with the frames that attempt left behind.
+    max_epoch: u64,
+    /// Why the log refuses further work, once a checkpoint's superblock
+    /// publish failed and the half in force on disk became unknown.
+    failed: Option<String>,
     next_lsn: u64,
     /// Committed object id → serialized root descriptor.
     committed: BTreeMap<u64, Vec<u8>>,
@@ -542,14 +559,29 @@ impl DurableWal {
         volume.write_pages(base + 1, &vec![0u8; ps])?;
         // durability: seals(shadow-data, superblock)
         volume.sync()?;
-        Ok(DurableWal {
+        Ok(Self::new(volume, base, half_pages, sb, 0))
+    }
+
+    /// An empty in-memory log whose superblock `sb` sits in `sb_slot`.
+    fn new(
+        volume: SharedVolume,
+        base: PageId,
+        half_pages: u64,
+        sb: Superblock,
+        sb_slot: u8,
+    ) -> DurableWal {
+        DurableWal {
             volume,
             base,
             half_pages,
-            active: 0,
-            epoch: 1,
-            sb_slot: 0,
+            active: sb.active,
+            epoch: sb.epoch,
+            sb_slot,
             head: 0,
+            tail: Vec::new(),
+            held: Vec::new(),
+            max_epoch: sb.epoch,
+            failed: None,
             next_lsn: 1,
             committed: BTreeMap::new(),
             committed_lsn: BTreeMap::new(),
@@ -561,7 +593,7 @@ impl DurableWal {
             checkpoints_taken: 0,
             stripe: 0,
             obs: None,
-        })
+        }
     }
 
     /// Attach to an existing log region: pick the valid superblock with
@@ -594,26 +626,16 @@ impl DurableWal {
                 ),
             });
         };
-        let mut wal = DurableWal {
-            volume,
-            base,
-            half_pages,
-            active: sb.active,
-            epoch: sb.epoch,
-            sb_slot: slot,
-            head: 0,
-            next_lsn: 1,
-            committed: BTreeMap::new(),
-            committed_lsn: BTreeMap::new(),
-            pending: Vec::new(),
-            ops: Vec::new(),
-            max_object_id: 0,
-            records_scanned: 0,
-            torn_tail: false,
-            checkpoints_taken: 0,
-            stripe: 0,
-            obs: None,
-        };
+        let mut wal = Self::new(volume, base, half_pages, sb, slot);
+        // A flip that failed before its publish (in an earlier session)
+        // may have left frames at the start of the inactive half under
+        // an epoch newer than the superblock's. Every flip writes from
+        // offset 0, so the first frame header there names the newest
+        // epoch the half holds; the next flip must not reuse it.
+        let inactive = wal.volume.read_pages(wal.half_base(1 - sb.active), 1)?;
+        if let Ok(stale) = codec::u32_at(&inactive, 4, "frame epoch") {
+            wal.max_epoch = wal.max_epoch.max(u64::from(stale));
+        }
         wal.scan()?;
         Ok(wal)
     }
@@ -667,6 +689,11 @@ impl DurableWal {
             at += FRAME_HEADER + len;
         }
         self.head = at;
+        let ps = self.volume.page_size() as u64;
+        self.tail = half
+            .get((at / ps * ps) as usize..at as usize)
+            .map(<[u8]>::to_vec)
+            .unwrap_or_default();
         Ok(())
     }
 
@@ -789,22 +816,31 @@ impl DurableWal {
             .collect()
     }
 
-    /// Append one entry durably: the frame (and a fresh terminator
-    /// behind it) reaches the volume before this returns. Flips to a
+    /// Append one entry: its frame (and a fresh terminator behind it)
+    /// reaches the volume before this returns — except a Touch frame,
+    /// which is held until the next frame write carries it. Flips to a
     /// checkpoint automatically when the active half is full.
     pub fn append(&mut self, entry: WalEntry) -> Result<()> {
+        self.check_live()?;
         let payload = entry.to_bytes();
         let frame = FRAME_HEADER + payload.len() as u64;
-        if self.head + frame + FRAME_HEADER > self.half_bytes() {
+        if self.bytes_used() + frame + FRAME_HEADER > self.half_bytes() {
             self.checkpoint()?;
-            if self.head + frame + FRAME_HEADER > self.half_bytes() {
+            if self.bytes_used() + frame + FRAME_HEADER > self.half_bytes() {
                 return Err(Error::LogFull {
                     needed: frame,
-                    available: self.half_bytes().saturating_sub(self.head + FRAME_HEADER),
+                    available: self
+                        .half_bytes()
+                        .saturating_sub(self.bytes_used() + FRAME_HEADER),
                 });
             }
         }
-        self.write_frame(&payload)?;
+        let encoded = self.encode_frame(&payload);
+        if matches!(entry, WalEntry::Touch { .. }) {
+            self.held.extend_from_slice(&encoded);
+        } else {
+            self.write_frames(&encoded)?;
+        }
         if let Some(o) = &self.obs {
             // One instant per appended frame on the pipeline timeline,
             // stamped with the owning scope (0 for checkpoints).
@@ -815,54 +851,75 @@ impl DurableWal {
         Ok(())
     }
 
-    /// Write `payload` as a frame at `head` of the active half,
-    /// followed by a zero terminator, and advance `head`.
-    fn write_frame(&mut self, payload: &[u8]) -> Result<()> {
-        let ps = self.volume.page_size() as u64;
-        let frame = FRAME_HEADER + payload.len() as u64;
-        let end = self.head + frame + FRAME_HEADER; // include terminator
-        let first_page = self.head / ps;
-        let last_page = (end - 1) / ps;
-        let npages = last_page - first_page + 1;
-        // Build the buffer front to back: the committed bytes sharing
-        // the first page, then header, payload, and zeros out to the
-        // page boundary. Truncating the existing page at `head` drops
-        // stale bytes past the old terminator, which must not survive
-        // as a plausible frame; the zeros `resize` appends after the
-        // payload are the new terminator.
-        let within = (self.head - first_page * ps) as usize;
-        let mut buf = if within > 0 {
-            let mut existing = self
-                .volume
-                .read_pages(self.half_base(self.active) + first_page, 1)?;
-            existing.truncate(within);
-            existing
-        } else {
-            Vec::with_capacity((npages * ps) as usize)
-        };
+    /// Refuse work once a failed checkpoint publish left the half in
+    /// force unknown.
+    fn check_live(&self) -> Result<()> {
+        match &self.failed {
+            Some(reason) => Err(Error::LogFailed {
+                reason: reason.clone(),
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// Frame `payload` under the current epoch: `[len][epoch][crc]`
+    /// followed by the payload.
+    fn encode_frame(&self, payload: &[u8]) -> Vec<u8> {
         let epoch = self.epoch as u32;
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&epoch.to_le_bytes());
-        buf.extend_from_slice(&frame_crc(epoch, payload).to_le_bytes());
-        buf.extend_from_slice(payload);
-        buf.resize((npages * ps) as usize, 0);
-        self.volume
-            .write_pages(self.half_base(self.active) + first_page, &buf)?;
-        self.head += frame;
+        let mut frame = Vec::with_capacity(FRAME_HEADER as usize + payload.len());
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&epoch.to_le_bytes());
+        frame.extend_from_slice(&frame_crc(epoch, payload).to_le_bytes());
+        frame.extend_from_slice(payload);
         if let Some(obs) = &self.obs {
             obs.frames.inc();
             obs.bytes.add(payload.len() as u64);
         }
+        frame
+    }
+
+    /// Write the held Touch frames and then `frames` at `head` of the
+    /// active half, in one volume write, followed by a zero terminator,
+    /// and advance `head`.
+    fn write_frames(&mut self, frames: &[u8]) -> Result<()> {
+        let ps = self.volume.page_size() as u64;
+        let len = (self.held.len() + frames.len()) as u64;
+        let first_page = self.head / ps;
+        // The last page holds the terminator behind the frames.
+        let last_page = (self.head + len + FRAME_HEADER - 1) / ps;
+        // Build the buffer front to back: the cached bytes sharing the
+        // first page, then the frames, and zeros out to the page
+        // boundary. Starting from the cached tail drops stale bytes past
+        // the old terminator, which must not survive as a plausible
+        // frame; the zeros `resize` appends are the new terminator.
+        let mut buf = Vec::with_capacity(((last_page - first_page + 1) * ps) as usize);
+        buf.extend_from_slice(&self.tail);
+        buf.extend_from_slice(&self.held);
+        buf.extend_from_slice(frames);
+        buf.resize(((last_page - first_page + 1) * ps) as usize, 0);
+        self.volume
+            .write_pages(self.half_base(self.active) + first_page, &buf)?;
+        self.head += len;
+        self.held.clear();
+        let tail_at = ((self.head / ps - first_page) * ps) as usize;
+        self.tail = buf
+            .get(tail_at..tail_at + (self.head % ps) as usize)
+            .map(<[u8]>::to_vec)
+            .unwrap_or_default();
         Ok(())
     }
 
     /// Flip halves: write the committed root map as a checkpoint record
-    /// at the start of the inactive half, re-append any uncommitted
-    /// pending records behind it (an open scope must survive the flip),
-    /// then publish the new half by bumping the superblock epoch. A
-    /// crash at any point leaves one complete, consistent half in
-    /// force.
+    /// at the start of the inactive half, with every uncommitted pending
+    /// record behind it (an open scope must survive the flip; held
+    /// Touch frames ride along as pending records), in one volume
+    /// write; then publish the new half by bumping the superblock epoch.
+    /// A crash at any point leaves one complete, consistent half in
+    /// force. A failure before the publish rolls back to the old half;
+    /// a failed publish leaves the half in force unknown, so the log
+    /// refuses all further work ([`Error::LogFailed`]) until reopen.
     pub fn checkpoint(&mut self) -> Result<()> {
+        self.check_live()?;
         let _span = self
             .obs
             .as_ref()
@@ -872,58 +929,56 @@ impl DurableWal {
             .obs
             .as_ref()
             .map(|o| o.metrics.pipe_span("wal.checkpoint", 0, 0));
-        let roots: Vec<(u64, Vec<u8>)> = self
-            .committed
-            .iter()
-            .map(|(k, v)| (*k, v.clone()))
-            .collect();
         let cp = WalEntry::Checkpoint {
             max_lsn: self.next_lsn - 1,
-            roots,
+            roots: self
+                .committed
+                .iter()
+                .map(|(k, v)| (*k, v.clone()))
+                .collect(),
         };
-        let carry: Vec<Vec<u8>> = self.pending.iter().map(WalEntry::to_bytes).collect();
+        let payloads: Vec<Vec<u8>> = std::iter::once(cp.to_bytes())
+            .chain(self.pending.iter().map(WalEntry::to_bytes))
+            .collect();
+        let need: u64 = payloads.iter().map(|p| FRAME_HEADER + p.len() as u64).sum();
+        if need + FRAME_HEADER > self.half_bytes() {
+            return Err(Error::LogFull {
+                needed: need,
+                available: self.half_bytes() - FRAME_HEADER,
+            });
+        }
 
-        let old_active = self.active;
-        let old_head = self.head;
-        let old_epoch = self.epoch;
+        let old = (
+            self.active,
+            self.head,
+            self.epoch,
+            std::mem::take(&mut self.tail),
+            std::mem::take(&mut self.held),
+        );
         self.active = 1 - self.active;
         self.head = 0;
         // Frames in the new half carry the epoch under which the half
         // will be scanned, distinguishing them from any CRC-valid
-        // leftovers of its previous occupancy.
-        self.epoch += 1;
-        let mut write_all = || -> Result<()> {
-            let cp_bytes = cp.to_bytes();
-            let mut need = FRAME_HEADER + cp_bytes.len() as u64;
-            for c in &carry {
-                need += FRAME_HEADER + c.len() as u64;
-            }
-            if need + FRAME_HEADER > self.half_bytes() {
-                return Err(Error::LogFull {
-                    needed: need,
-                    available: self.half_bytes() - FRAME_HEADER,
-                });
-            }
-            // Checkpoint + carried frames land on the *inactive* half —
-            // fresh-extent writes in the shadow paradigm.
-            // durability: mutates(shadow-data)
-            self.write_frame(&cp_bytes)?;
-            for c in &carry {
-                // durability: mutates(shadow-data)
-                self.write_frame(c)?;
-            }
-            Ok(())
-        };
-        if let Err(e) = write_all() {
+        // leftovers of its previous occupancy — including those of a
+        // failed flip, whose epoch stays burned.
+        self.max_epoch += 1;
+        self.epoch = self.max_epoch;
+        let frames: Vec<u8> = payloads.iter().flat_map(|p| self.encode_frame(p)).collect();
+        // Checkpoint + carried frames land on the *inactive* half —
+        // fresh-extent writes in the shadow paradigm.
+        // durability: mutates(shadow-data)
+        let mut staged = self.write_frames(&frames);
+        if staged.is_ok() {
+            // Barrier: the new half must be stable before it is
+            // published.
+            // durability: seals(shadow-data)
+            staged = self.volume.sync().map_err(Error::from);
+        }
+        if let Err(e) = staged {
             // Nothing published: the old half is still the log.
-            self.active = old_active;
-            self.head = old_head;
-            self.epoch = old_epoch;
+            (self.active, self.head, self.epoch, self.tail, self.held) = old;
             return Err(e);
         }
-        // Barrier: the new half must be stable before it is published.
-        // durability: seals(shadow-data)
-        self.volume.sync()?;
         let sb = Superblock {
             epoch: self.epoch,
             active: self.active,
@@ -933,12 +988,22 @@ impl DurableWal {
         // checkpoint, never the log it supersedes.
         let slot = 1 - self.sb_slot;
         // durability: mutates(superblock)
-        self.volume.write_pages(
+        let mut published = self.volume.write_pages(
             self.base + u64::from(slot),
             &sb.to_page(self.volume.page_size()),
-        )?;
-        // durability: seals(superblock)
-        self.volume.sync()?;
+        );
+        if published.is_ok() {
+            // durability: seals(superblock)
+            published = self.volume.sync();
+        }
+        if let Err(e) = published {
+            let reason = format!(
+                "checkpoint publish of epoch {} to superblock slot {slot} failed: {e}",
+                self.epoch
+            );
+            self.failed = Some(reason.clone());
+            return Err(Error::LogFailed { reason });
+        }
         self.sb_slot = slot;
         self.checkpoints_taken += 1;
         if let Some(obs) = &self.obs {
@@ -950,6 +1015,7 @@ impl DurableWal {
     /// Force everything appended so far to stable storage — the commit
     /// barrier.
     pub fn sync(&self) -> Result<()> {
+        self.check_live()?;
         let _force = self
             .obs
             .as_ref()
@@ -1032,9 +1098,21 @@ impl DurableWal {
         self.checkpoints_taken
     }
 
-    /// Bytes of the active half already used by records.
+    /// Bytes of the active half already used by records, held Touch
+    /// frames included.
     pub fn bytes_used(&self) -> u64 {
-        self.head
+        self.head + self.held.len() as u64
+    }
+}
+
+impl Drop for DurableWal {
+    fn drop(&mut self) {
+        // Held Touch frames go out with the log, so a log dropped
+        // without a crash scans back every frame it appended. Best
+        // effort: nothing durable depends on them.
+        if !self.held.is_empty() && self.failed.is_none() {
+            let _ = self.write_frames(&[]);
+        }
     }
 }
 
@@ -1413,6 +1491,128 @@ mod tests {
         // Resolving the stale part late must not roll the root back.
         wal.resolve_txn(1);
         assert_eq!(wal.committed()[&5], vec![0xBB]);
+    }
+
+    fn commit_of(txn: TxnId, lsn: u64, object: u64) -> WalEntry {
+        WalEntry::Commit {
+            txn,
+            lsn,
+            participants: 1,
+            touched: vec![(object, vec![lsn as u8])],
+            deleted: vec![],
+        }
+    }
+
+    #[test]
+    fn appends_never_read_the_log_back() {
+        let v = vol(64);
+        let mut wal = DurableWal::format(v.clone(), 0, 64).unwrap();
+        for i in 1..=60u64 {
+            wal.append(op_entry(i, 5, &[i as u8; 40])).unwrap();
+            wal.append(commit_of(1, i, 5)).unwrap();
+        }
+        assert!(wal.checkpoints_taken() > 0, "the tail survived a flip too");
+        assert_eq!(v.stats().page_reads, 0);
+        drop(wal);
+        let wal = DurableWal::attach(v, 0, 64).unwrap();
+        assert!(!wal.torn_tail());
+        assert_eq!(wal.committed()[&5], vec![60]);
+    }
+
+    #[test]
+    fn touch_frames_ride_the_next_frame_write() {
+        let v = vol(64);
+        let mut wal = DurableWal::format(v.clone(), 0, 64).unwrap();
+        let touch = |lsn| WalEntry::Touch {
+            txn: 1,
+            lsn,
+            object: 5,
+            root_after: vec![7; 20],
+        };
+        let writes = || v.stats().page_writes;
+        let before = writes();
+        wal.append(touch(1)).unwrap();
+        wal.append(touch(2)).unwrap();
+        assert_eq!(writes(), before, "Touch frames are held");
+        assert_eq!(wal.pending().len(), 2, "but already part of the log state");
+        wal.append(commit_of(1, 3, 5)).unwrap();
+        assert_eq!(
+            writes(),
+            before + 1,
+            "one write carries both Touches and the Commit"
+        );
+        // A Touch still held when the log is dropped goes out with it.
+        wal.append(touch(4)).unwrap();
+        drop(wal);
+        let wal = DurableWal::attach(v, 0, 64).unwrap();
+        assert_eq!(wal.records_scanned(), 4);
+        assert_eq!(wal.pending().len(), 1);
+    }
+
+    #[test]
+    fn failed_flip_rolls_back_and_burns_its_epoch() {
+        let inner = vol(64);
+        let f = eos_pager::FaultyVolume::new(inner.clone(), u64::MAX);
+        let mut wal = DurableWal::format(f.clone(), 0, 64).unwrap();
+        wal.append(op_entry(1, 5, b"aaa")).unwrap();
+        wal.append(commit_of(1, 1, 5)).unwrap();
+        let (head, tail) = (wal.head, wal.tail.clone());
+        // The checkpoint frame write fails: nothing was published.
+        f.heal(0);
+        assert!(wal.checkpoint().is_err());
+        f.heal(u64::MAX);
+        assert_eq!((wal.active, wal.epoch, wal.head), (0, 1, head));
+        assert_eq!(wal.tail, tail);
+        // The old half keeps taking appends, and a retried flip stamps
+        // a fresh epoch, never the failed attempt's 2.
+        wal.append(commit_of(1, 2, 5)).unwrap();
+        wal.checkpoint().unwrap();
+        assert_eq!((wal.active, wal.epoch), (1, 3));
+        let wal = DurableWal::attach(inner, 0, 64).unwrap();
+        assert_eq!(wal.epoch, 3);
+        assert_eq!(wal.committed()[&5], vec![2]);
+    }
+
+    #[test]
+    fn failed_publish_fails_the_log_until_reopen() {
+        let inner = vol(64);
+        let f = eos_pager::FaultyVolume::new(inner.clone(), u64::MAX);
+        let mut wal = DurableWal::format(f.clone(), 0, 64).unwrap();
+        wal.append(commit_of(1, 1, 5)).unwrap();
+        // The half write lands, the superblock write fails.
+        f.heal(1);
+        let err = wal.checkpoint().unwrap_err();
+        assert!(matches!(err, Error::LogFailed { .. }), "got {err}");
+        f.heal(u64::MAX);
+        for r in [wal.append(commit_of(1, 2, 5)), wal.sync(), wal.checkpoint()] {
+            assert!(matches!(r, Err(Error::LogFailed { .. })), "got {r:?}");
+        }
+        // Reopen: the old superblock is in force with everything the
+        // log acknowledged.
+        let wal = DurableWal::attach(inner, 0, 64).unwrap();
+        assert_eq!(wal.epoch, 1);
+        assert_eq!(wal.committed()[&5], vec![1]);
+    }
+
+    #[test]
+    fn reopen_after_failed_flip_never_reuses_its_epoch() {
+        let inner = vol(64);
+        let f = eos_pager::FaultyVolume::new(inner.clone(), u64::MAX);
+        let mut wal = DurableWal::format(f.clone(), 0, 64).unwrap();
+        wal.append(commit_of(1, 1, 5)).unwrap();
+        // The flip writes half 1 under epoch 2, then its publish fails.
+        f.heal(1);
+        assert!(wal.checkpoint().is_err());
+        drop(wal);
+        // The next session (restart recovery) flips into the same half:
+        // it must skip epoch 2, whose frames still sit there.
+        let mut wal = DurableWal::attach(inner.clone(), 0, 64).unwrap();
+        assert_eq!(wal.epoch, 1);
+        wal.checkpoint().unwrap();
+        assert_eq!((wal.active, wal.epoch), (1, 3));
+        let wal = DurableWal::attach(inner, 0, 64).unwrap();
+        assert_eq!(wal.epoch, 3);
+        assert_eq!(wal.committed()[&5], vec![1]);
     }
 
     #[test]

@@ -60,6 +60,15 @@ pub enum Error {
         /// Bytes one log half can hold.
         available: u64,
     },
+    /// The durable log refuses all further work until the store is
+    /// reopened: a checkpoint's superblock publish (or its force)
+    /// failed, so which log half is in force on disk is unknown. Only
+    /// restart recovery, which reads whichever superblock landed, can
+    /// tell.
+    LogFailed {
+        /// Human-readable description of the failed publish.
+        reason: String,
+    },
     /// An underlying buddy-allocator error.
     Buddy(eos_buddy::Error),
     /// An underlying volume error.
@@ -94,6 +103,7 @@ impl fmt::Display for Error {
                 f,
                 "log record of {needed} bytes exceeds the {available}-byte log half"
             ),
+            Error::LogFailed { reason } => write!(f, "log failed until reopen: {reason}"),
             Error::Buddy(e) => write!(f, "space manager: {e}"),
             Error::Pager(e) => write!(f, "volume: {e}"),
         }

@@ -94,21 +94,32 @@ pub struct PreparedCommit {
 
 impl ObjectStore {
     /// Format `num_spaces` buddy spaces of `pages_per_space` data pages
-    /// on the volume and return an empty store.
+    /// on the volume and return an empty store. The directories are
+    /// write-through: every allocation and free writes its directory
+    /// page (§3.3).
     pub fn create(
         volume: SharedVolume,
         num_spaces: usize,
         pages_per_space: u64,
         config: StoreConfig,
     ) -> Result<ObjectStore> {
-        let mut buddy = BuddyManager::create(volume.clone(), num_spaces, pages_per_space)?;
-        // Claim the boot-record page (the very first data page), so
-        // reopened stores find it at a deterministic address. The
-        // data-base read must drop its space guard before allocate_at
-        // re-locks the same space.
+        let buddy = BuddyManager::create(volume.clone(), num_spaces, pages_per_space)?;
+        Self::with_fresh_buddy(volume, buddy, config, Metrics::new())
+    }
+
+    /// Wrap a freshly formatted space manager in an empty store,
+    /// claiming the boot-record page (the very first data page) so
+    /// reopened stores find it at a deterministic address.
+    fn with_fresh_buddy(
+        volume: SharedVolume,
+        mut buddy: BuddyManager,
+        config: StoreConfig,
+        obs: Metrics,
+    ) -> Result<ObjectStore> {
+        // The data-base read must drop its space guard before
+        // allocate_at re-locks the same space.
         let boot = buddy.space(0).data_base();
         buddy.allocate_at(boot, 1)?;
-        let obs = Metrics::new();
         buddy.set_metrics(&obs);
         Ok(ObjectStore {
             volume,

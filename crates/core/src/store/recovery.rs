@@ -1,8 +1,10 @@
 //! Restart recovery for durable stores (§4.5 made whole-volume).
 //!
 //! A durable volume carries three kinds of state: the data/index pages
-//! of the objects, the buddy directories, and the log region. After a
-//! power loss only the log is trusted:
+//! of the objects, the buddy directories, and the log region. Only the
+//! log is trusted. A durable store writes its directories back lazily
+//! (never on the commit path), so on disk they are stale hints that
+//! recovery rewrites, not inputs it reads:
 //!
 //! 1. **Scan** — [`StripedWal::attach`] replays each stripe's active
 //!    log half up to its torn tail, merges the stripes by LSN, settles
@@ -13,13 +15,14 @@
 //!    written back, newest first. Every other operation was shadowed,
 //!    so its effects live only on pages no committed root references —
 //!    ignoring them *is* the rollback.
-//! 3. **Rebuild** — the buddy directories are reformatted and the
-//!    allocation bitmap is reconstructed from scratch: the boot page
-//!    plus every page extent reachable from a committed root. This one
-//!    stroke reconciles everything the crash could have left behind —
-//!    half-applied deferred frees, allocations of the doomed
-//!    transaction, a stale superdirectory — because none of that state
-//!    is an input.
+//! 3. **Rebuild** — the buddy directories are reformatted in memory and
+//!    the allocation bitmap is reconstructed from scratch: the boot page
+//!    plus every page extent reachable from a committed root. Then each
+//!    directory page is written once. This one stroke reconciles
+//!    everything the crash could have left behind — half-applied
+//!    deferred frees, allocations of the doomed transaction, a stale
+//!    superdirectory, directories last written at the previous
+//!    recovery — because none of that state is an input.
 //! 4. **Checkpoint** — the recovered map is written as a fresh
 //!    checkpoint, so a second crash during or right after recovery just
 //!    repeats it (recovery is idempotent and never writes a committed
@@ -67,6 +70,8 @@ impl ObjectStore {
     /// spaces (the volume must have room: `(pages_per_space + 1) *
     /// num_spaces + wal_pages` pages). The returned store logs every
     /// mutating operation; reopen it with [`ObjectStore::open_durable`].
+    /// Its buddy directories are write-back: written here, then only
+    /// by the next open's recovery, which rebuilds them from the log.
     pub fn create_durable(
         volume: SharedVolume,
         num_spaces: usize,
@@ -76,7 +81,11 @@ impl ObjectStore {
     ) -> Result<ObjectStore> {
         let base = (pages_per_space + 1) * num_spaces as u64;
         let wal = StripedWal::format(&volume, base, wal_pages, config.wal_stripes)?;
-        let mut store = Self::create(volume, num_spaces, pages_per_space, config)?;
+        // Directories are derived state here (recovery rebuilds them),
+        // so they are written back: once now, never on the commit path.
+        let buddy = BuddyManager::create_write_back(volume.clone(), num_spaces, pages_per_space)?;
+        let mut store = Self::with_fresh_buddy(volume, buddy, config, Metrics::new())?;
+        store.buddy.flush_directories()?;
         wal.set_metrics(&store.obs);
         store.wal = Some(Arc::new(wal));
         Ok(store)
@@ -90,9 +99,9 @@ impl ObjectStore {
     /// need to have survived on the client side).
     ///
     /// Recovery itself is crash-safe: it writes only uncommitted pages
-    /// (the undo images), rebuilt directories, and a fresh checkpoint,
-    /// so a failure part-way through is simply retried by the next
-    /// open.
+    /// (the undo images), each rebuilt directory once, and a fresh
+    /// checkpoint, so a failure part-way through is simply retried by
+    /// the next open.
     pub fn open_durable(
         volume: SharedVolume,
         num_spaces: usize,
@@ -157,29 +166,17 @@ impl ObjectStore {
         }
 
         // 3. Rebuild the allocator from scratch: reformat the
-        // directories (data pages untouched), then mark the boot page
-        // and every extent a committed root reaches.
-        let mut buddy = BuddyManager::create(volume.clone(), num_spaces, pages_per_space)?;
-        let boot = buddy.space(0).data_base();
-        buddy.allocate_at(boot, 1)?;
-        buddy.set_metrics(metrics);
-        let mut store = ObjectStore {
-            volume,
-            buddy,
-            config,
-            next_id: 1,
-            txns: std::collections::BTreeMap::new(),
-            active: None,
-            next_txn: 1,
-            wal: None,
-            affinity: 0,
-            obs: metrics.clone(),
-        };
+        // directories in memory (data pages untouched), mark the boot
+        // page and every extent a committed root reaches, then write
+        // each directory page once.
+        let buddy = BuddyManager::create_write_back(volume.clone(), num_spaces, pages_per_space)?;
+        let mut store = Self::with_fresh_buddy(volume, buddy, config, metrics.clone())?;
         for obj in &objects {
             for (start, pages) in store.object_page_extents(obj) {
                 store.buddy.allocate_at(start, pages)?;
             }
         }
+        store.buddy.flush_directories()?;
         store.next_id = objects
             .iter()
             .map(|o| o.id)

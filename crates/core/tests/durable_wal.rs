@@ -182,6 +182,7 @@ fn reopen_is_idempotent() {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
+    Read { start: u64 },
     Write { start: u64, pages: u64 },
     Sync,
 }
@@ -212,6 +213,7 @@ impl eos_pager::Volume for EventVolume {
         self.inner.num_pages()
     }
     fn read_into(&self, start: u64, pages: u64, buf: &mut [u8]) -> eos_pager::Result<()> {
+        self.events.lock().unwrap().push(Event::Read { start });
         self.inner.read_into(start, pages, buf)
     }
     fn write_pages(&self, start: u64, data: &[u8]) -> eos_pager::Result<()> {
@@ -335,4 +337,192 @@ fn log_wraps_under_sustained_load() {
     let (store, report) = reopen(vol);
     assert_eq!(report.objects.len(), 1);
     store.verify_object(&report.objects[0]).unwrap();
+}
+
+// ---- I/O shape --------------------------------------------------------------
+//
+// A durable store treats its buddy directories as derived state (restart
+// recovery rebuilds them from the log), so it writes them back only at
+// format and recovery; its log keeps the active tail page in memory and
+// lets advisory Touch frames ride the next frame write. These tests pin
+// the resulting I/O per commit and per recovery.
+
+/// Volume pages of the buddy directories.
+fn is_dir_page(page: u64) -> bool {
+    page < WAL_BASE && page.is_multiple_of(PPS + 1)
+}
+
+fn dir_writes(events: &[Event]) -> Vec<u64> {
+    events
+        .iter()
+        .filter_map(|e| match e {
+            Event::Write { start, .. } if is_dir_page(*start) => Some(*start),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn durable_solo_commit_writes_the_log_once_and_no_directory() {
+    let recorder = EventVolume::new(fresh_volume());
+    let vol: SharedVolume = recorder.clone();
+    let mut store = create(vol);
+    let mut a = store.create_with(&pattern(4 * PAGE, 1), None).unwrap();
+    // Each op is one autocommit scope: a Touch frame, a Commit frame,
+    // allocations and deferred frees.
+    for step in 0..3 {
+        recorder.take();
+        match step {
+            0 => store.replace_shadow(&mut a, 700, &pattern(300, 2)),
+            1 => store.insert(&mut a, 100, &pattern(90, 3)),
+            _ => store.delete(&mut a, 1500, 400),
+        }
+        .unwrap();
+        let events = recorder.take();
+        assert!(
+            dir_writes(&events).is_empty(),
+            "a durable commit wrote a directory page: {events:?}"
+        );
+        assert!(
+            !events
+                .iter()
+                .any(|e| matches!(e, Event::Read { start } if *start >= WAL_BASE)),
+            "a commit read the log back: {events:?}"
+        );
+        assert_eq!(
+            events.iter().filter(|e| is_log_write(e)).count(),
+            1,
+            "the Touch and Commit frames share one log write: {events:?}"
+        );
+    }
+}
+
+#[test]
+fn recovery_writes_each_directory_once_and_matches_its_rebuild() {
+    let vol = fresh_volume();
+    {
+        let mut store = create(vol.clone());
+        let mut a = store.create_with(&pattern(5 * PAGE, 1), None).unwrap();
+        let mut b = store.create_with(&pattern(2 * PAGE, 2), None).unwrap();
+        store.insert(&mut a, 300, &pattern(700, 3)).unwrap();
+        store.delete(&mut b, 100, 400).unwrap();
+        store.begin_txn();
+        store.append(&mut b, &pattern(900, 4)).unwrap();
+        // crash with the scope open
+    }
+    let recorder = EventVolume::new(vol.clone());
+    let rvol: SharedVolume = recorder.clone();
+    let (store, _) =
+        ObjectStore::open_durable(rvol, SPACES, PPS, StoreConfig::default(), WAL_PAGES).unwrap();
+    let mut written = dir_writes(&recorder.take());
+    written.sort_unstable();
+    let every_dir: Vec<u64> = (0..SPACES as u64).map(|i| i * (PPS + 1)).collect();
+    assert_eq!(
+        written, every_dir,
+        "each directory page written exactly once"
+    );
+
+    // The pages on disk are the rebuilt directories.
+    let on_disk = eos_buddy::BuddyManager::open(vol, SPACES, PPS).unwrap();
+    on_disk.check_invariants().unwrap();
+    for i in 0..SPACES {
+        assert_eq!(
+            on_disk.space(i).dir().to_page(),
+            store.buddy().space(i).dir().to_page(),
+            "space {i}: directory on disk differs from the rebuilt one"
+        );
+    }
+}
+
+#[test]
+fn log_less_store_writes_one_directory_page_per_allocation() {
+    use eos_core::obs::Metrics;
+    let recorder = EventVolume::new(fresh_volume());
+    let vol: SharedVolume = recorder.clone();
+    let mut store = ObjectStore::create(vol, SPACES, PPS, StoreConfig::default()).unwrap();
+    let metrics = Metrics::new();
+    store.set_metrics(&metrics);
+    recorder.take();
+    let mut a = store.create_with(&pattern(5 * PAGE + 9, 1), None).unwrap();
+    store.insert(&mut a, 1000, &pattern(800, 2)).unwrap();
+    store.delete(&mut a, 0, 600).unwrap();
+    let snap = metrics.snapshot();
+    let allocs = snap.histogram("buddy.alloc.pages").unwrap().count;
+    let frees = snap.histogram("buddy.free.pages").unwrap().count;
+    assert!(allocs > 0 && frees > 0);
+    assert_eq!(
+        dir_writes(&recorder.take()).len() as u64,
+        allocs + frees,
+        "§3.3: one directory write per allocation and per free"
+    );
+}
+
+// ---- failed checkpoint publish --------------------------------------------
+
+/// A checkpoint whose flip fails part-way must never strand commits the
+/// store goes on to acknowledge. Sweep an injected I/O failure across
+/// every operation of a run of copy-on-write replace commits on a small
+/// log (so the halves flip every few commits), heal the volume, commit
+/// a second object, and reopen: every acknowledged commit must be in
+/// the recovered image. Before the fix, a failed superblock write left
+/// the log appending to the unpublished half, and the post-heal commit
+/// — acknowledged — vanished on reopen.
+#[test]
+fn failed_checkpoint_publish_never_loses_acknowledged_commits() {
+    use eos_pager::FaultyVolume;
+    const LOG: u64 = 16;
+    let pages = (PPS + 1) * SPACES as u64 + LOG;
+    let original = pattern(1500, 1);
+    let second = pattern(700, 9);
+    for budget in 0..400u64 {
+        let inner = MemVolume::with_profile(PAGE, pages, DiskProfile::FREE).shared();
+        let faulty = FaultyVolume::new(inner.clone(), u64::MAX);
+        let mut store =
+            ObjectStore::create_durable(faulty.clone(), SPACES, PPS, StoreConfig::default(), LOG)
+                .unwrap();
+        let mut obj = store.create_with(&original, None).unwrap();
+        let mut acked = original.clone();
+        // The bytes of the one commit that failed, which may still have
+        // become durable (its frame landed before the error surfaced).
+        let mut limbo = None;
+        faulty.heal(budget);
+        for i in 0..40u8 {
+            let data = pattern(100, i.wrapping_add(2));
+            let off = (usize::from(i) * 37) % 1400;
+            let mut next = acked.clone();
+            next[off..off + 100].copy_from_slice(&data);
+            if store.replace_shadow(&mut obj, off as u64, &data).is_ok() {
+                acked = next;
+            } else {
+                limbo = Some(next);
+                break;
+            }
+        }
+        faulty.heal(u64::MAX);
+        // Commit again on the healed volume; if the store acknowledges
+        // it, it must survive the reopen.
+        let second_acked = store.create_with(&second, None).is_ok();
+        drop(store);
+
+        let (store, report) =
+            ObjectStore::open_durable(inner, SPACES, PPS, StoreConfig::default(), LOG).unwrap();
+        let first = report
+            .objects
+            .iter()
+            .find(|o| o.id() == 1)
+            .expect("the first object was acknowledged before any fault");
+        let got = store.read_all(first).unwrap();
+        assert!(
+            got == acked || Some(&got) == limbo.as_ref(),
+            "budget {budget}: acknowledged replaces of object 1 lost"
+        );
+        if second_acked {
+            let obj2 = report
+                .objects
+                .iter()
+                .find(|o| o.id() == 2)
+                .unwrap_or_else(|| panic!("budget {budget}: acknowledged commit lost on reopen"));
+            assert_eq!(store.read_all(obj2).unwrap(), second, "budget {budget}");
+        }
+    }
 }

@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use eos::core::{ConcurrentStore, LargeObject, ObjectStore, StoreConfig};
+use eos::core::{ConcurrentStore, LargeObject, ObjectStore, StoreConfig, Txn};
 use eos::pager::{CrashPointVolume, DiskProfile, MemVolume, SharedVolume};
 
 const PAGE: usize = 512;
@@ -55,8 +55,9 @@ fn pattern(len: usize, salt: u8) -> Vec<u8> {
         .collect()
 }
 
-/// The scripted workload: a handful of transaction scopes exercising
-/// every §4 operation, sized to cross page and segment boundaries.
+/// The scripted workload: 28 transaction scopes exercising every §4
+/// operation, sized to cross page and segment boundaries and to flip
+/// the log's halves once.
 fn workload() -> Vec<Vec<Op>> {
     vec![
         // txn 1: two objects are born
@@ -110,11 +111,97 @@ fn workload() -> Vec<Vec<Op>> {
             Op::Delete(1, 500, 800),
             Op::Truncate(4, 256),
         ],
-        // txn 10: final touches on every survivor
+        // txn 10: touches on every survivor
         vec![
             Op::Replace(1, 10, pattern(48, 21)),
             Op::Append(3, pattern(150, 22)),
             Op::Insert(4, 128, pattern(99, 23)),
+        ],
+        // txn 11: a fifth object spanning several pages
+        vec![
+            Op::Create(pattern(5 * PAGE + 123, 24)),
+            Op::Replace(1, 0, pattern(32, 25)),
+        ],
+        // txn 12: splice into the newcomer's interior, then grow it
+        vec![
+            Op::Insert(5, 2 * PAGE as u64 + 3, pattern(600, 26)),
+            Op::Append(5, pattern(PAGE + 1, 27)),
+        ],
+        // txn 13: overwrite across a page seam, then cut the tail
+        vec![
+            Op::Replace(5, PAGE as u64 - 50, pattern(300, 28)),
+            Op::Truncate(5, 4 * PAGE as u64),
+        ],
+        // txn 14: object 4 dies while object 3 grows
+        vec![Op::DeleteObj(4), Op::Append(3, pattern(3 * PAGE, 29))],
+        // txn 15: deletes at the head and in the middle
+        vec![Op::Delete(3, 0, 200), Op::Delete(5, 100, 300)],
+        // txn 16: a sixth object, rewritten right after its birth
+        vec![
+            Op::Create(pattern(2 * PAGE, 30)),
+            Op::Replace(6, 10, pattern(500, 31)),
+        ],
+        // txn 17: inserts at the head of three objects
+        vec![
+            Op::Insert(1, 0, pattern(77, 32)),
+            Op::Insert(3, 0, pattern(PAGE, 33)),
+            Op::Insert(6, 0, pattern(5, 34)),
+        ],
+        // txn 18: deep truncations
+        vec![Op::Truncate(1, 300), Op::Truncate(6, PAGE as u64 + 7)],
+        // txn 19: regrowth of the truncated objects
+        vec![
+            Op::Append(1, pattern(2 * PAGE + 9, 35)),
+            Op::Append(6, pattern(900, 36)),
+        ],
+        // txn 20: in-place replaces only
+        vec![
+            Op::Replace(3, 5, pattern(1000, 37)),
+            Op::Replace(5, 0, pattern(64, 38)),
+        ],
+        // txn 21: the first object dies, a seventh is born
+        vec![Op::DeleteObj(1), Op::Create(pattern(3 * PAGE, 39))],
+        // txn 22: churn on the newest object
+        vec![
+            Op::Insert(7, 700, pattern(400, 40)),
+            Op::Delete(7, 100, 500),
+            Op::Append(5, pattern(250, 41)),
+        ],
+        // txn 23: touches on every survivor
+        vec![
+            Op::Replace(6, 0, pattern(128, 42)),
+            Op::Truncate(3, 2000),
+            Op::Insert(5, 64, pattern(333, 43)),
+        ],
+        // txn 24: an eighth object beside growth and an overwrite
+        vec![
+            Op::Create(pattern(4 * PAGE + 99, 44)),
+            Op::Append(3, pattern(PAGE + 50, 45)),
+            Op::Replace(7, 0, pattern(700, 46)),
+        ],
+        // txn 25: splice, hollow out, cut back
+        vec![
+            Op::Insert(8, PAGE as u64 + 1, pattern(800, 47)),
+            Op::Delete(6, 200, 600),
+            Op::Truncate(7, 1000),
+        ],
+        // txn 26: object 6 dies amid growth elsewhere
+        vec![
+            Op::DeleteObj(6),
+            Op::Append(8, pattern(2 * PAGE, 48)),
+            Op::Insert(5, 0, pattern(150, 49)),
+        ],
+        // txn 27: a long delete spanning segments
+        vec![
+            Op::Delete(8, 50, 1500),
+            Op::Replace(3, 100, pattern(300, 50)),
+            Op::Append(7, pattern(600, 51)),
+        ],
+        // txn 28: final touches on every survivor
+        vec![
+            Op::Replace(8, 0, pattern(400, 52)),
+            Op::Truncate(5, 900),
+            Op::Insert(3, 2500, pattern(200, 53)),
         ],
     ]
 }
@@ -398,12 +485,60 @@ fn striped_workload() -> Vec<Vec<Op>> {
             Op::Create(pattern(2 * PAGE + 31, 50)),
             Op::Insert(3, PAGE as u64, pattern(250, 51)),
         ],
-        // txn 8: stripe-0 solo, then a final cross-stripe shrink.
+        // txn 8: stripe-0 solo, then a cross-stripe shrink.
         vec![
             Op::Replace(4, 0, pattern(300, 52)),
             Op::Append(4, pattern(PAGE / 2, 53)),
         ],
         vec![Op::Truncate(3, 600), Op::Delete(4, 100, 350)],
+        // txn 10: object 5 born on stripe 1 beside stripe-1 growth.
+        vec![
+            Op::Create(pattern(3 * PAGE + 17, 54)),
+            Op::Append(1, pattern(PAGE, 55)),
+        ],
+        // txn 11: stripe-0 solo, in place and spliced.
+        vec![
+            Op::Replace(4, 10, pattern(200, 56)),
+            Op::Insert(4, 0, pattern(300, 57)),
+        ],
+        // txn 12: object 6 born on stripe 0, object 5 rewritten on 1.
+        vec![
+            Op::Create(pattern(PAGE + 64, 58)),
+            Op::Replace(5, 100, pattern(600, 59)),
+        ],
+        // txn 13: cross-stripe shrink and growth.
+        vec![Op::Delete(5, 0, 700), Op::Append(6, pattern(2 * PAGE, 60))],
+        // txn 14: stripe-1 solo: a death and growth.
+        vec![Op::DeleteObj(1), Op::Append(3, pattern(PAGE + 9, 61))],
+        // txn 15: stripe-0 solo splice and cut.
+        vec![
+            Op::Insert(6, PAGE as u64, pattern(400, 62)),
+            Op::Truncate(4, 200),
+        ],
+        // txn 16: object 4 dies on stripe 0, object 7 born on 1.
+        vec![Op::DeleteObj(4), Op::Create(pattern(2 * PAGE + 3, 63))],
+        // txn 17: cross-stripe in-place replaces.
+        vec![
+            Op::Replace(7, 0, pattern(500, 64)),
+            Op::Replace(6, 20, pattern(300, 65)),
+        ],
+        // txn 18: stripe-1 solo.
+        vec![Op::Append(7, pattern(PAGE, 66)), Op::Delete(3, 100, 200)],
+        // txn 19: object 8 born on stripe 0, splice on stripe 1.
+        vec![
+            Op::Create(pattern(PAGE + 50, 67)),
+            Op::Insert(5, 64, pattern(128, 68)),
+        ],
+        // txn 20: stripe-0 solo.
+        vec![Op::Truncate(6, 900), Op::Append(8, pattern(3 * PAGE, 69))],
+        // txn 21: three objects across both stripes.
+        vec![
+            Op::Delete(7, 300, 400),
+            Op::Replace(8, 0, pattern(256, 70)),
+            Op::Truncate(5, 700),
+        ],
+        // txn 22: a final cross-stripe death and growth.
+        vec![Op::DeleteObj(6), Op::Append(3, pattern(PAGE, 71))],
     ]
 }
 
@@ -477,101 +612,159 @@ fn crash_sweep_striped_wal_two_stripes() {
 
 // ---- MVCC publication/reclaim crash sweep (DESIGN.md §14) ------------------
 
-/// The MVCC workload, replayed transaction by transaction through the
-/// concurrent front-end: commits publish roots while snapshots pin
-/// epochs (parking the deferred frees), and snapshot drops run the
-/// reclaim I/O. Returns how many transactions committed and whether
-/// the failure surfaced inside a commit (the limbo window).
-fn run_mvcc_workload(cs: &ConcurrentStore) -> Outcome {
-    let mut committed = 0usize;
-
-    // txn 1: two objects are born.
-    let txn = cs.begin();
-    let mut a = match txn.create(&pattern(3 * PAGE + 50, 31), None) {
-        Ok(o) => o,
-        Err(_) => return Outcome::CrashedInTxn(committed),
-    };
-    let mut b = match txn.create(&pattern(PAGE + 30, 32), None) {
-        Ok(o) => o,
-        Err(_) => return Outcome::CrashedInTxn(committed),
-    };
-    if txn.commit().is_err() {
-        return Outcome::CrashedInCommit(committed);
-    }
-    committed += 1;
-
-    // A stalled reader pins the two-object epoch: every free below
-    // parks behind it until the drop.
-    let pin = cs.snapshot();
-
-    // txn 2: copy-on-write replace + growth — all frees parked.
-    let txn = cs.begin();
-    if txn.replace(&mut a, 100, &pattern(400, 33)).is_err()
-        || txn.append(&mut b, &pattern(600, 34)).is_err()
-    {
-        return Outcome::CrashedInTxn(committed);
-    }
-    if txn.commit().is_err() {
-        return Outcome::CrashedInCommit(committed);
-    }
-    committed += 1;
-
-    // txn 3: shrink + splice, still pinned.
-    let txn = cs.begin();
-    if txn.delete(&mut a, 300, 700).is_err() || txn.insert(&mut b, 64, &pattern(200, 35)).is_err() {
-        return Outcome::CrashedInTxn(committed);
-    }
-    if txn.commit().is_err() {
-        return Outcome::CrashedInCommit(committed);
-    }
-    committed += 1;
-
-    // Reclaim I/O point: dropping the pin applies every parked batch
-    // (directory-page writes). A crash in here is swallowed by the
-    // drop — the next transaction surfaces it.
-    drop(pin);
-
-    // txn 4 under a second pin: one object dies (tombstone publish).
-    let pin = cs.snapshot();
-    let txn = cs.begin();
-    if txn.replace(&mut a, 0, &pattern(128, 36)).is_err() || txn.delete_object(&mut b).is_err() {
-        return Outcome::CrashedInTxn(committed);
-    }
-    if txn.commit().is_err() {
-        return Outcome::CrashedInCommit(committed);
-    }
-    committed += 1;
-    drop(pin);
-
-    // txn 5: final touch with no reader pinned — frees apply inline.
-    let txn = cs.begin();
-    if txn.truncate(&mut a, 800).is_err() {
-        return Outcome::CrashedInTxn(committed);
-    }
-    if txn.commit().is_err() {
-        return Outcome::CrashedInCommit(committed);
-    }
-
-    Outcome::Completed
+/// One step of the MVCC workload, replayed through the concurrent
+/// front-end: commits publish roots while snapshots pin epochs (parking
+/// the deferred frees), and snapshot drops run the reclaim.
+enum Step {
+    /// A reader pins the current epoch: later frees park behind it.
+    Pin,
+    /// The oldest pinned reader drops.
+    UnpinOldest,
+    /// The newest pinned reader drops (an out-of-order unpin).
+    UnpinNewest,
+    /// One transaction scope.
+    Txn(Vec<Op>),
 }
 
-/// `states[j]` = object id → bytes after `j` committed MVCC txns.
-fn mvcc_model_states() -> Vec<BTreeMap<u64, Vec<u8>>> {
-    let mut states = vec![BTreeMap::new()];
-    let mut a = pattern(3 * PAGE + 50, 31);
-    let mut b = pattern(PAGE + 30, 32);
-    states.push(BTreeMap::from([(1, a.clone()), (2, b.clone())]));
-    a[100..500].copy_from_slice(&pattern(400, 33));
-    b.extend(pattern(600, 34));
-    states.push(BTreeMap::from([(1, a.clone()), (2, b.clone())]));
-    a.drain(300..1000);
-    b.splice(64..64, pattern(200, 35));
-    states.push(BTreeMap::from([(1, a.clone()), (2, b.clone())]));
-    a[..128].copy_from_slice(&pattern(128, 36));
-    states.push(BTreeMap::from([(1, a.clone())]));
-    a.truncate(800);
-    states.push(BTreeMap::from([(1, a.clone())]));
-    states
+fn mvcc_workload() -> Vec<Step> {
+    use Step::{Pin, Txn, UnpinNewest, UnpinOldest};
+    vec![
+        // txn 1: two objects are born.
+        Txn(vec![
+            Op::Create(pattern(3 * PAGE + 50, 31)),
+            Op::Create(pattern(PAGE + 30, 32)),
+        ]),
+        // A stalled reader pins the two-object epoch: every free below
+        // parks behind it until the drop.
+        Pin,
+        // txn 2: copy-on-write replace + growth — all frees parked.
+        Txn(vec![
+            Op::Replace(1, 100, pattern(400, 33)),
+            Op::Append(2, pattern(600, 34)),
+        ]),
+        // txn 3: shrink + splice, still pinned.
+        Txn(vec![
+            Op::Delete(1, 300, 700),
+            Op::Insert(2, 64, pattern(200, 35)),
+        ]),
+        UnpinOldest,
+        // txn 4 under a second pin: one object dies (tombstone publish).
+        Pin,
+        Txn(vec![Op::Replace(1, 0, pattern(128, 36)), Op::DeleteObj(2)]),
+        UnpinOldest,
+        // txn 5: no reader pinned — frees apply inline.
+        Txn(vec![Op::Truncate(1, 800)]),
+        // txn 6: a newcomer, and growth.
+        Txn(vec![
+            Op::Create(pattern(2 * PAGE + 70, 37)),
+            Op::Append(1, pattern(PAGE, 38)),
+        ]),
+        // txns 7–8 under two stacked pins; the newer one drops first,
+        // so nothing may be reclaimed yet.
+        Pin,
+        Txn(vec![
+            Op::Replace(3, 10, pattern(900, 39)),
+            Op::Insert(1, 400, pattern(300, 40)),
+        ]),
+        Pin,
+        Txn(vec![
+            Op::Delete(3, 0, 500),
+            Op::Replace(1, 0, pattern(200, 41)),
+        ]),
+        UnpinNewest,
+        // txns 9–10 still behind the older pin.
+        Txn(vec![
+            Op::Create(pattern(PAGE + 5, 42)),
+            Op::Truncate(3, 400),
+        ]),
+        Txn(vec![
+            Op::Append(4, pattern(3 * PAGE, 43)),
+            Op::Delete(1, 100, 1000),
+        ]),
+        UnpinOldest,
+        // txns 11–12 under a fresh pin: a death and an overwrite.
+        Pin,
+        Txn(vec![Op::DeleteObj(3), Op::Insert(4, 0, pattern(700, 44))]),
+        Txn(vec![
+            Op::Replace(4, 500, pattern(1200, 45)),
+            Op::Append(1, pattern(800, 46)),
+        ]),
+        UnpinOldest,
+        // txns 13–15: inline frees, then one more parked batch.
+        Txn(vec![Op::Truncate(4, 1500), Op::Create(pattern(900, 47))]),
+        Pin,
+        Txn(vec![
+            Op::Replace(5, 0, pattern(900, 48)),
+            Op::Delete(4, 200, 300),
+        ]),
+        UnpinOldest,
+        Txn(vec![
+            Op::Append(5, pattern(2 * PAGE, 49)),
+            Op::Replace(1, 50, pattern(64, 50)),
+        ]),
+    ]
+}
+
+/// The workload's transactions alone, for the byte-level model.
+fn mvcc_txns() -> Vec<Vec<Op>> {
+    mvcc_workload()
+        .into_iter()
+        .filter_map(|step| match step {
+            Step::Txn(ops) => Some(ops),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Apply one op inside a concurrent-front-end transaction.
+fn txn_apply(
+    txn: &Txn,
+    handles: &mut BTreeMap<u64, LargeObject>,
+    op: &Op,
+) -> eos::core::Result<()> {
+    match op {
+        Op::Create(bytes) => {
+            let obj = txn.create(bytes, None)?;
+            handles.insert(obj.id(), obj);
+        }
+        Op::Append(id, bytes) => txn.append(handles.get_mut(id).unwrap(), bytes)?,
+        Op::Insert(id, off, bytes) => txn.insert(handles.get_mut(id).unwrap(), *off, bytes)?,
+        Op::Delete(id, off, len) => txn.delete(handles.get_mut(id).unwrap(), *off, *len)?,
+        Op::Replace(id, off, bytes) => txn.replace(handles.get_mut(id).unwrap(), *off, bytes)?,
+        Op::Truncate(id, size) => txn.truncate(handles.get_mut(id).unwrap(), *size)?,
+        Op::DeleteObj(id) => txn.delete_object(&mut handles.remove(id).unwrap())?,
+    }
+    Ok(())
+}
+
+/// Run the MVCC workload. Returns how many transactions committed and
+/// whether the failure surfaced inside a commit (the limbo window).
+fn run_mvcc_workload(cs: &ConcurrentStore) -> Outcome {
+    let mut handles = BTreeMap::new();
+    let mut pins = std::collections::VecDeque::new();
+    let mut committed = 0usize;
+    for step in mvcc_workload() {
+        match step {
+            Step::Pin => pins.push_back(cs.snapshot()),
+            // A reclaim failure is swallowed by the drop; the next
+            // transaction surfaces the crash.
+            Step::UnpinOldest => drop(pins.pop_front()),
+            Step::UnpinNewest => drop(pins.pop_back()),
+            Step::Txn(ops) => {
+                let txn = cs.begin();
+                for op in &ops {
+                    if txn_apply(&txn, &mut handles, op).is_err() {
+                        return Outcome::CrashedInTxn(committed);
+                    }
+                }
+                if txn.commit().is_err() {
+                    return Outcome::CrashedInCommit(committed);
+                }
+                committed += 1;
+            }
+        }
+    }
+    Outcome::Completed
 }
 
 /// Satellite: crash at every write I/O point of the MVCC commit path —
@@ -582,7 +775,7 @@ fn mvcc_model_states() -> Vec<BTreeMap<u64, Vec<u8>>> {
 /// as leaks.
 #[test]
 fn crash_sweep_mvcc_publish_and_reclaim() {
-    let states = mvcc_model_states();
+    let states = model_states_for(&mvcc_txns());
 
     // Unarmed counting run.
     let (store, gate) = fresh_store();

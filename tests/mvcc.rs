@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use eos::core::{ConcurrentStore, Error, LargeObject, ObjectStore, StoreConfig};
-use eos::obs::Metrics;
+use eos::obs::{Metrics, PipeEvent, PipeKind};
 use eos::pager::{DiskProfile, MemVolume, SharedVolume, ThrottledVolume};
 
 fn pattern(seed: u8, len: usize) -> Vec<u8> {
@@ -301,140 +301,87 @@ fn solo_commits_publish_to_readers_too() {
 // ---- reclaim write-ordering (eos-crashdep L6, DESIGN.md §15) ------------
 //
 // The `mvcc-publish` durability class requires `commit-frame`: pages a
-// commit superseded must not re-enter the free pool (directory-page
-// writes in `apply_commit`) before that commit's log frame is forced.
-// The counter tests above show *that* parked batches drain; these two
-// record the raw write/sync interleaving and pin *when*.
+// commit superseded must not re-enter the free pool (`apply_commit`)
+// before that commit's log frame is forced. A durable store writes its
+// buddy directories back lazily, so a free leaves no volume write to
+// observe; these two tests read the pipeline-event timeline instead —
+// the `wal.force` span against the `mvcc.apply` / `mvcc.park` /
+// `mvcc.reclaim` instants — plus the allocator's free-page count.
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Event {
-    Write { start: u64 },
-    Sync,
+/// Pipeline events recorded since sequence number `from`.
+fn events_since(metrics: &Metrics, from: u64) -> Vec<PipeEvent> {
+    metrics
+        .pipe_events()
+        .into_iter()
+        .filter(|e| e.seq >= from)
+        .collect()
 }
 
-struct EventVolume {
-    inner: SharedVolume,
-    events: std::sync::Mutex<Vec<Event>>,
+fn is_force_end(e: &PipeEvent) -> bool {
+    e.kind == PipeKind::End && e.phase == "wal.force"
 }
 
-impl EventVolume {
-    fn new(inner: SharedVolume) -> Arc<EventVolume> {
-        Arc::new(EventVolume {
-            inner,
-            events: std::sync::Mutex::new(Vec::new()),
-        })
-    }
-
-    fn take(&self) -> Vec<Event> {
-        std::mem::take(&mut self.events.lock().unwrap())
-    }
+fn free_pages(cs: &ConcurrentStore) -> u64 {
+    cs.with_store(|s| s.buddy().total_free_pages())
 }
 
-impl eos::pager::Volume for EventVolume {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-    fn num_pages(&self) -> u64 {
-        self.inner.num_pages()
-    }
-    fn read_into(&self, start: u64, pages: u64, buf: &mut [u8]) -> eos::pager::Result<()> {
-        self.inner.read_into(start, pages, buf)
-    }
-    fn write_pages(&self, start: u64, data: &[u8]) -> eos::pager::Result<()> {
-        self.events.lock().unwrap().push(Event::Write { start });
-        self.inner.write_pages(start, data)
-    }
-    fn stats(&self) -> eos::pager::IoStats {
-        self.inner.stats()
-    }
-    fn reset_stats(&self) {
-        self.inner.reset_stats();
-    }
-    fn sync(&self) -> eos::pager::Result<()> {
-        self.events.lock().unwrap().push(Event::Sync);
-        self.inner.sync()
-    }
-}
-
-/// Log (WAL) region base for the recorder-store geometry below.
-const REC_WAL_BASE: u64 = (1024 + 1) * 4;
-
-fn is_log_write(e: &Event) -> bool {
-    matches!(e, Event::Write { start } if *start >= REC_WAL_BASE)
-}
-
-fn is_data_write(e: &Event) -> bool {
-    matches!(e, Event::Write { start } if *start < REC_WAL_BASE)
-}
-
-/// A durable store on an event-recording volume (same geometry as
-/// [`durable_store`], minus the throttle).
-fn recorder_store(metrics: &Metrics) -> (ObjectStore, Arc<EventVolume>) {
-    let inner: SharedVolume =
-        MemVolume::with_profile(1024, (1024 + 1) * 4 + 62, DiskProfile::FREE).shared();
-    let recorder = EventVolume::new(inner);
-    let volume: SharedVolume = recorder.clone();
-    let mut store = ObjectStore::create_durable(
-        volume,
-        4,
-        1024,
-        StoreConfig {
-            sync_on_commit: true,
-            ..StoreConfig::default()
-        },
-        62,
-    )
-    .unwrap();
-    store.set_metrics(metrics);
-    (store, recorder)
-}
-
-/// With a reader pinned, a superseding commit parks its frees; the
-/// reclaim I/O runs only when the pin drops — strictly after the
-/// commit's frame force in the event stream — and touches only the
-/// data region (directory pages), never the log.
+/// With a reader pinned, a superseding commit parks its frees behind
+/// the pin, strictly after the commit's frame force; the frees apply
+/// only when the pin drops, and the reclaim never touches the log.
 #[test]
 fn parked_reclaim_runs_after_the_superseding_commit_force() {
     let metrics = Metrics::new();
-    let (mut store, recorder) = recorder_store(&metrics);
+    let mut store = durable_store(&metrics);
     let mut a = store.create_with(&pattern(21, 12_000), None).unwrap();
     let cs = ConcurrentStore::new(store);
 
     let pin = cs.snapshot();
-    recorder.take();
+    let mark = metrics.pipe_recorded();
 
     // Copy-on-write replace: the superseded segment's pages become a
     // deferred-free batch, parked behind the pin.
     let txn = cs.begin();
     txn.replace(&mut a, 0, &pattern(22, 8_000)).unwrap();
     txn.commit().unwrap();
-    let commit_events = recorder.take();
+    let commit = events_since(&metrics, mark);
 
-    let last_log = commit_events
+    let force = commit
         .iter()
-        .rposition(is_log_write)
-        .expect("the commit wrote a log frame");
+        .rposition(is_force_end)
+        .expect("the commit frame was forced");
+    let park = commit
+        .iter()
+        .position(|e| e.phase == "mvcc.park")
+        .expect("the superseded pages did not park behind the pin");
     assert!(
-        commit_events[last_log + 1..].contains(&Event::Sync),
-        "the commit frame was never forced"
+        force < park,
+        "frees parked before the frame force: {commit:?}"
     );
     assert!(
-        metrics.snapshot().gauge("mvcc.deferred_pages").unwrap_or(0) > 0,
+        !commit.iter().any(|e| e.phase == "mvcc.apply"),
+        "parked frees were applied inline: {commit:?}"
+    );
+    let parked = metrics.snapshot().gauge("mvcc.deferred_pages").unwrap_or(0);
+    assert!(
+        parked > 0,
         "the superseded pages did not park behind the pin"
     );
+    let free_while_pinned = free_pages(&cs);
 
-    // The pin drops: every reclaim write sits after the force above in
-    // the stream (it is in a later `take`), and none of it is log I/O.
+    // The pin drops: the parked pages return to the free pool, and the
+    // reclaim writes no log frame and forces nothing.
+    let mark = metrics.pipe_recorded();
     drop(pin);
-    let reclaim_events = recorder.take();
+    let reclaim = events_since(&metrics, mark);
     assert!(
-        reclaim_events.iter().any(is_data_write),
-        "dropping the last pin produced no reclaim I/O"
+        reclaim.iter().any(|e| e.phase == "mvcc.reclaim"),
+        "dropping the last pin reclaimed nothing: {reclaim:?}"
     );
     assert!(
-        !reclaim_events.iter().any(is_log_write),
-        "reclaim must not write the log: {reclaim_events:?}"
+        !reclaim.iter().any(|e| e.phase.starts_with("wal.")),
+        "reclaim must not touch the log: {reclaim:?}"
     );
+    assert_eq!(free_pages(&cs), free_while_pinned + parked);
     assert_eq!(
         metrics.snapshot().gauge("mvcc.deferred_pages").unwrap_or(0),
         0
@@ -444,39 +391,44 @@ fn parked_reclaim_runs_after_the_superseding_commit_force() {
 }
 
 /// With no reader pinned, the frees apply inside the commit itself —
-/// but still only after the frame force: every write after the
-/// commit's last sync is data-region I/O (the `mvcc-publish` batch),
-/// and the log is silent from the force onwards.
+/// but still only after the frame force, and the log is silent from
+/// then on.
 #[test]
 fn immediate_free_application_follows_the_frame_force() {
     let metrics = Metrics::new();
-    let (mut store, recorder) = recorder_store(&metrics);
+    let mut store = durable_store(&metrics);
     let mut a = store.create_with(&pattern(31, 12_000), None).unwrap();
     let cs = ConcurrentStore::new(store);
-    recorder.take();
+    let free_before = free_pages(&cs);
+    let mark = metrics.pipe_recorded();
 
     let txn = cs.begin();
     txn.replace(&mut a, 0, &pattern(32, 8_000)).unwrap();
     txn.commit().unwrap();
-    let events = recorder.take();
+    let events = events_since(&metrics, mark);
 
-    let last_sync = events
+    let force = events
         .iter()
-        .rposition(|e| *e == Event::Sync)
-        .expect("the commit synced");
-    let last_log = events.iter().rposition(is_log_write).unwrap();
+        .rposition(is_force_end)
+        .expect("the commit frame was forced");
+    let apply = events
+        .iter()
+        .position(|e| e.phase == "mvcc.apply")
+        .unwrap_or_else(|| panic!("no inline free application: {events:?}"));
     assert!(
-        last_log < last_sync,
-        "the frame force must follow the last log write"
-    );
-    let tail = &events[last_sync + 1..];
-    assert!(
-        tail.iter().any(is_data_write),
-        "no free-application I/O after the force: {events:?}"
+        force < apply,
+        "frees applied before the frame force: {events:?}"
     );
     assert!(
-        tail.iter().all(is_data_write),
-        "only data-region writes may follow the force: {tail:?}"
+        !events[apply..].iter().any(|e| e.phase.starts_with("wal.")),
+        "the log must be silent once the frees apply: {events:?}"
+    );
+    // Rewriting the first 8000 of 12000 bytes copies whole segments, so
+    // the superseded pages exactly balance the fresh ones once freed.
+    assert_eq!(
+        free_pages(&cs),
+        free_before,
+        "the superseded pages were not freed"
     );
 
     check_clean(cs, &[("a".to_string(), a)]);

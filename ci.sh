@@ -131,21 +131,26 @@ EOS_STRESS_SEED=3735928559 \
     --test mvcc -- --nocapture
 cargo clippy --workspace --all-targets --offline --features lockdep -- -D warnings
 
-echo "== perfbench (own tests + edit smoke) =="
+echo "== perfbench (own tests + edit and read_mix smokes) =="
 # The benchmark package builds outside the workspace: run its tests
-# (among them the timing-wrapper reconciliation test), then a short
-# edit run whose JSON verdict must be correct with no failed ops.
+# (among them the timing-wrapper reconciliation test), then short edit
+# and read_mix runs (read_mix's writer does nothing but copy-on-write
+# replaces) whose JSON verdicts must be correct with no failed ops.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
-cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
-    --workload edit --seed 7 --seconds 2 --trace 0 | tail -n 1 > PERFBENCH_smoke.json
-python3 - <<'EOF_SMOKE'
+for workload in edit read_mix; do
+    cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 7 --seconds 2 --trace 0 | tail -n 1 > PERFBENCH_smoke.json
+    WORKLOAD="$workload" python3 - <<'EOF_SMOKE'
 import json
+import os
 
+name = os.environ["WORKLOAD"]
 doc = json.load(open("PERFBENCH_smoke.json"))
-assert doc["correct"] is True, f"perfbench edit smoke: correct={doc['correct']}"
-assert doc["failed"] == 0, f"perfbench edit smoke: {doc['failed']} failed ops"
-print(f"perfbench edit smoke: correct, {doc['attempted']} ops, 0 failed")
+assert doc["correct"] is True, f"perfbench {name} smoke: correct={doc['correct']}"
+assert doc["failed"] == 0, f"perfbench {name} smoke: {doc['failed']} failed ops"
+print(f"perfbench {name} smoke: correct, {doc['attempted']} ops, 0 failed")
 EOF_SMOKE
+done
 rm -f PERFBENCH_smoke.json
 
 echo "CI gate passed."

@@ -14,10 +14,14 @@
 //!   serialize on the write latch (the latch is held only for the
 //!   in-memory/page work of one operation, never across a user stall).
 //! * [`Txn`] is one transaction scope. Every **write** first acquires
-//!   exclusive byte-range locks from the shared [`RangeLockManager`]
-//!   (tail locks for offset-shifting edits), *then* takes the store
-//!   latch — so lock waits never hold the latch. Locks follow strict
-//!   two-phase locking: they are released only after commit or abort.
+//!   an exclusive lock from the shared [`RangeLockManager`] (a tail
+//!   lock for offset-shifting edits, the whole object for replace:
+//!   each write publishes a whole new root at commit), *then* takes
+//!   the store latch — so lock waits never hold the latch. A scope's
+//!   first write to an object refuses a descriptor older than the
+//!   published committed root ([`Error::StaleDescriptor`]). Locks
+//!   follow strict two-phase locking: they are released only after
+//!   commit or abort.
 //!   **Reads take no range locks at all**: they pin the committed
 //!   root set the last commit published (MVCC snapshot isolation,
 //!   DESIGN.md §14) and traverse it while the pin parks any
@@ -844,9 +848,28 @@ impl Txn {
         r
     }
 
-    /// Note a write to `id` for read-your-writes resolution.
-    fn note_write(&self, id: u64) {
-        self.wrote.borrow_mut().insert(id);
+    /// Note a write to `obj` for read-your-writes resolution. Called
+    /// with the object's write lock held, so the committed root cannot
+    /// move underneath: on the scope's first write to `obj`, a
+    /// descriptor older than the published committed root fails with
+    /// [`Error::StaleDescriptor`]. Volatile stores publish no roots and
+    /// skip the check.
+    fn note_write(&self, obj: &LargeObject) -> Result<()> {
+        if self.wrote.borrow().contains(&obj.id) {
+            return Ok(());
+        }
+        if self.cs.inner.wal.is_some() {
+            let committed = self.cs.inner.mvcc.lock().roots.get(&obj.id).map(|o| o.lsn);
+            if let Some(committed_lsn) = committed.filter(|&lsn| lsn > obj.lsn) {
+                return Err(Error::StaleDescriptor {
+                    id: obj.id,
+                    descriptor_lsn: obj.lsn,
+                    committed_lsn,
+                });
+            }
+        }
+        self.wrote.borrow_mut().insert(obj.id);
+        Ok(())
     }
 
     /// Create an object (optionally with initial bytes). The new
@@ -861,7 +884,7 @@ impl Txn {
             .inner
             .locks
             .lock_object(self.id, obj.id, LockMode::Exclusive);
-        self.note_write(obj.id);
+        self.wrote.borrow_mut().insert(obj.id);
         Ok(obj)
     }
 
@@ -915,22 +938,21 @@ impl Txn {
         self.cs.snapshot()
     }
 
-    /// Overwrite bytes under an exclusive lock on exactly the replaced
-    /// range (offsets don't shift, §4.5's minimal footprint). The
-    /// rewrite is copy-on-write ([`ObjectStore::replace_shadow`]):
-    /// committed pages a reader snapshot may be traversing are never
-    /// overwritten, their frees are deferred behind the reader epochs.
+    /// Overwrite bytes under an exclusive lock on the whole object. A
+    /// range lock would not do: the rewrite publishes a new root for
+    /// the object at commit, so two scopes replacing disjoint ranges
+    /// would each commit a root built from their own descriptor and the
+    /// later one would lose the earlier one's update. The rewrite is
+    /// copy-on-write ([`ObjectStore::replace_shadow`], a §4.4 L/N/R
+    /// rewrite of each touched segment): committed pages a reader
+    /// snapshot may be traversing are never overwritten, and the frees
+    /// of the superseded ones are deferred behind the reader epochs.
     pub fn replace(&self, obj: &mut LargeObject, offset: u64, data: &[u8]) -> Result<()> {
-        if !data.is_empty() {
-            self.cs.inner.locks.lock(
-                self.id,
-                obj.id,
-                offset,
-                offset + data.len() as u64,
-                LockMode::Exclusive,
-            );
-        }
-        self.note_write(obj.id);
+        self.cs
+            .inner
+            .locks
+            .lock_object(self.id, obj.id, LockMode::Exclusive);
+        self.note_write(obj)?;
         self.with_scope(|st| st.replace_shadow(obj, offset, data))
     }
 
@@ -941,7 +963,7 @@ impl Txn {
             .inner
             .locks
             .lock_tail(self.id, obj.id, obj.size(), LockMode::Exclusive);
-        self.note_write(obj.id);
+        self.note_write(obj)?;
         self.with_scope(|st| st.append(obj, data))
     }
 
@@ -952,7 +974,7 @@ impl Txn {
             .inner
             .locks
             .lock_tail(self.id, obj.id, offset, LockMode::Exclusive);
-        self.note_write(obj.id);
+        self.note_write(obj)?;
         self.with_scope(|st| st.insert(obj, offset, data))
     }
 
@@ -962,7 +984,7 @@ impl Txn {
             .inner
             .locks
             .lock_tail(self.id, obj.id, offset, LockMode::Exclusive);
-        self.note_write(obj.id);
+        self.note_write(obj)?;
         self.with_scope(|st| st.delete(obj, offset, len))
     }
 
@@ -972,7 +994,7 @@ impl Txn {
             .inner
             .locks
             .lock_tail(self.id, obj.id, new_size, LockMode::Exclusive);
-        self.note_write(obj.id);
+        self.note_write(obj)?;
         self.with_scope(|st| st.truncate(obj, new_size))
     }
 
@@ -982,7 +1004,7 @@ impl Txn {
             .inner
             .locks
             .lock_object(self.id, obj.id, LockMode::Exclusive);
-        self.note_write(obj.id);
+        self.note_write(obj)?;
         self.with_scope(|st| st.delete_object(obj))
     }
 

@@ -75,7 +75,7 @@ pub(crate) fn consolidate_leaf_parent(
             let buf = store.volume().read_pages(e.ptr, pages)?;
             bytes.extend_from_slice(&buf[..e.bytes as usize]);
         }
-        let fresh = crate::ops::insert::write_new_segments(store, &bytes)?;
+        let fresh = crate::ops::rewrite::write_new_segments(store, &bytes)?;
         let old: Vec<Entry> = node.entries.splice(a..b, fresh).collect();
         for e in old {
             store.free_pages(e.ptr, e.bytes.div_ceil(ps))?;

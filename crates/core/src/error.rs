@@ -44,6 +44,20 @@ pub enum Error {
         /// The object id that was looked up.
         id: u64,
     },
+    /// A transaction's first write to an object came with a descriptor
+    /// older than the object's published committed root: another
+    /// transaction committed a write to it since the caller took the
+    /// descriptor, and writing through the stale copy would lose that
+    /// update and reference pages it freed. Re-read the committed
+    /// descriptor (e.g. [`crate::Snapshot::object`]) and retry.
+    StaleDescriptor {
+        /// The object written.
+        id: u64,
+        /// LSN of the caller's descriptor.
+        descriptor_lsn: u64,
+        /// LSN of the published committed root.
+        committed_lsn: u64,
+    },
     /// A group commit could not make its batch durable. On a data
     /// barrier failure the transaction was rolled back; on a log force
     /// failure its durability is unknown (restart recovery decides).
@@ -98,6 +112,14 @@ impl fmt::Display for Error {
             Error::UnknownObject { id } => {
                 write!(f, "object {id} not in the snapshot's committed root set")
             }
+            Error::StaleDescriptor {
+                id,
+                descriptor_lsn,
+                committed_lsn,
+            } => write!(
+                f,
+                "descriptor of object {id} is stale (LSN {descriptor_lsn}, committed root at LSN {committed_lsn})"
+            ),
             Error::CommitFailed { reason } => write!(f, "commit failed: {reason}"),
             Error::LogFull { needed, available } => write!(
                 f,

@@ -131,7 +131,7 @@ pub(crate) fn run(
             n_bytes.extend_from_slice(&src[a..a + plan.from_r as usize]);
         }
         debug_assert_eq!(n_bytes.len() as u64, plan.n);
-        n_entries = super::insert::write_new_segments(store, &n_bytes)?;
+        n_entries = super::rewrite::write_new_segments(store, &n_bytes)?;
     }
 
     // Free dead pages and assemble the per-segment replacement lists.

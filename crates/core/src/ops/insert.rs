@@ -7,16 +7,14 @@
 //! followed by the tail of page P (plus whatever reshuffling moves in);
 //! **R** — the pages of S after P, kept in place. Existing leaf pages
 //! are never overwritten; only the new segment is written and the index
-//! is fixed (§4.5).
+//! is fixed (§4.5). The reshuffle, read, write, free and splice steps
+//! live in [`super::rewrite`], shared with copy-on-write replace.
 
-use crate::config::Threshold;
-use crate::consolidate::consolidate_leaf_parent;
+use super::rewrite::Fill;
 use crate::error::{Error, Result};
-use crate::node::Entry;
 use crate::object::LargeObject;
-use crate::reshuffle::reshuffle;
 use crate::store::ObjectStore;
-use crate::tree::{descend, leaf_entry, propagate};
+use crate::tree::descend;
 
 pub(crate) fn run(
     store: &mut ObjectStore,
@@ -42,130 +40,10 @@ pub(crate) fn run(
         return s.close();
     }
 
-    let ps = store.ps();
-    let ic = data.len() as u64;
     // Step 1: traverse the tree, saving the path.
     let (path, rel) = descend(store, obj, offset)?;
-    let e = leaf_entry(&path);
-    let (sc, s_ptr) = (e.bytes, e.ptr);
-    let s_pages = sc.div_ceil(ps);
-
-    // Step 2: preparation (the paper's L/N/R arithmetic).
-    let p = rel / ps;
-    let pb = rel % ps;
-    let last = s_pages - 1;
-    let pc = if p == last { sc - last * ps } else { ps };
-    let l0 = p * ps + pb;
-    let r0 = if p == last { 0 } else { sc - (p + 1) * ps };
-    let n0 = ic + pc - pb;
-
-    // Step 3: reshuffle bytes and pages of L, N, R.
-    let parent_fill = path.last().expect("path").node.entries.len();
-    let t = store.effective_threshold(obj, parent_fill);
-    let plan = reshuffle(l0, n0, r0, ps, t, store.max_seg_pages());
-    store.note_reshuffle(t, &plan);
-
-    // Step 4: read the needed pages of S in one contiguous call, build
-    // N, and write it.
-    // Bytes of S feeding N: the tail of L, the tail of page P, and the
-    // head of R — a contiguous byte range of S starting at l0 − from_l.
-    let lo_page = (l0 - plan.from_l) / ps;
-    let hi_page = if plan.from_r > 0 {
-        p + 1 + (plan.from_r - 1) / ps
-    } else {
-        p
-    };
-    let src = store
-        .volume()
-        .read_pages(s_ptr + lo_page, hi_page - lo_page + 1)?;
-    let at = |byte: u64| (byte - lo_page * ps) as usize;
-
-    let mut n_bytes = Vec::with_capacity(plan.n as usize);
-    n_bytes.extend_from_slice(&src[at(l0 - plan.from_l)..at(l0)]);
-    n_bytes.extend_from_slice(data);
-    n_bytes.extend_from_slice(&src[at(rel)..at(p * ps + pc)]);
-    if plan.from_r > 0 {
-        let r_start = (p + 1) * ps;
-        n_bytes.extend_from_slice(&src[at(r_start)..at(r_start + plan.from_r)]);
-    }
-    debug_assert_eq!(n_bytes.len() as u64, plan.n);
-    let n_entries = write_new_segments(store, &n_bytes)?;
-
-    // Free the pages of S that belong to neither L′ nor R′ (one
-    // contiguous run: L′'s trimmed tail, page P, and R's donated head).
-    let keep_l_pages = plan.l.div_ceil(ps);
-    let donated_r_pages = if r0 > 0 && plan.r == 0 {
-        s_pages - (p + 1)
-    } else {
-        plan.from_r / ps
-    };
-    let free_lo = keep_l_pages;
-    let free_hi = if r0 > 0 {
-        p + 1 + donated_r_pages
-    } else {
-        s_pages
-    };
-    if free_hi > free_lo {
-        store.free_pages(s_ptr + free_lo, free_hi - free_lo)?;
-    }
-
-    // Step 5: fix the parent with entries for L, N, R (sizes > 0) and
-    // propagate counts and pointers to the root.
-    let mut repl = Vec::with_capacity(2 + n_entries.len());
-    if plan.l > 0 {
-        repl.push(Entry {
-            bytes: plan.l,
-            ptr: s_ptr,
-        });
-    }
-    repl.extend(n_entries);
-    if plan.r > 0 {
-        repl.push(Entry {
-            bytes: plan.r,
-            ptr: s_ptr + p + 1 + donated_r_pages,
-        });
-    }
-    let mut path = path;
-    let bottom = path.last_mut().expect("path");
-    bottom
-        .node
-        .entries
-        .splice(bottom.child..bottom.child + 1, repl);
-    // [Bili91a] group reallocation: under the adaptive policy, if the
-    // new entries are about to split the parent, first merge adjacent
-    // unsafe segments — often the node then fits again.
-    let consolidated = if bottom.node.entries.len() > store.node_cap()
-        && matches!(obj.threshold(), Threshold::Adaptive { .. })
-    {
-        consolidate_leaf_parent(store, &mut bottom.node, t)?.runs_merged > 0
-    } else {
-        false
-    };
-    propagate(store, obj, path)?;
-    if consolidated {
-        // Consolidation may have left the node under half full.
-        crate::tree::repair_seam(store, obj, offset)?;
-    }
-    Ok(())
-}
-
-/// Allocate and write `bytes` as one segment, or several maximum-size
-/// segments when it exceeds the largest the buddy system hands out
-/// (also used by the delete executor for its new segment N).
-pub(crate) fn write_new_segments(store: &mut ObjectStore, bytes: &[u8]) -> Result<Vec<Entry>> {
-    let ps = store.ps();
-    let max_bytes = (store.max_seg_pages() * ps) as usize;
-    let mut out = Vec::with_capacity(bytes.len().div_ceil(max_bytes));
-    for chunk in bytes.chunks(max_bytes) {
-        let pages = (chunk.len() as u64).div_ceil(ps);
-        let ext = store.alloc_extent(pages)?;
-        let mut buf = chunk.to_vec();
-        buf.resize((pages * ps) as usize, 0);
-        store.volume().write_pages(ext.start, &buf)?;
-        out.push(Entry {
-            bytes: chunk.len() as u64,
-            ptr: ext.start,
-        });
-    }
-    Ok(out)
+    // Steps 2–5: L is S up to the insertion point, N the inserted bytes
+    // followed by the tail of the page P holding it, R the pages of S
+    // after P (the paper's L/N/R arithmetic).
+    super::rewrite::run(store, obj, path, rel, rel, Fill::Splice(data), offset)
 }

@@ -7,3 +7,4 @@ pub(crate) mod delete;
 pub(crate) mod insert;
 pub(crate) mod read;
 pub(crate) mod replace;
+pub(crate) mod rewrite;

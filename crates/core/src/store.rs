@@ -705,14 +705,16 @@ impl ObjectStore {
         self.paranoid_check(obj)
     }
 
-    /// Overwrite bytes at `offset` **copy-on-write**: every touched
-    /// segment is rewritten onto a fresh extent and the old extent's
-    /// free is deferred behind the scope's release lock, so the
-    /// committed image — and any MVCC reader snapshot pinned on it —
-    /// stays intact on disk until the scope commits and the deferral
-    /// is reclaimed. Functionally identical to [`Self::replace`]; the
-    /// concurrent front-end uses this variant so its lock-free readers
-    /// never observe a half-applied overwrite.
+    /// Overwrite bytes at `offset` **copy-on-write**: each touched
+    /// segment is split §4.4-style into pages kept in place (L and R)
+    /// and a new segment N on a fresh extent holding the touched pages,
+    /// plus whatever the threshold T makes L and R donate; the free of
+    /// the pages N supersedes is deferred behind the scope's release
+    /// lock. The committed image — and any MVCC reader snapshot pinned
+    /// on it — stays intact on disk until the scope commits and the
+    /// deferral is reclaimed. Byte-for-byte the same result as
+    /// [`Self::replace`]; the concurrent front-end uses this variant so
+    /// its lock-free readers never observe a half-applied overwrite.
     pub fn replace_shadow(
         &mut self,
         obj: &mut LargeObject,

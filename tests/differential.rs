@@ -21,6 +21,7 @@ use eos::baselines::{ExodusStore, StarburstStore, SystemRStore, WissStore};
 use eos::core::{BlobStore, ConcurrentStore, LargeObject, ObjectStore, Snapshot, StoreConfig, Txn};
 use eos::pager::{DiskProfile, MemVolume, SharedVolume};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Default case count, overridable via PROPTEST_CASES for deep soaks.
 fn prop_cases() -> u32 {
@@ -412,6 +413,12 @@ fn txn_apply(txn: &Txn, obj: &mut LargeObject, c: &Cop) {
     }
 }
 
+/// Cases of `pinned_readers_see_their_pin_point` run so far, and how
+/// many of them ran a replace on an object holding a segment of at
+/// least 2T pages while a reader pin was live.
+static PIN_CASES: AtomicU32 = AtomicU32::new(0);
+static SPLIT_UNDER_PIN: AtomicU32 = AtomicU32::new(0);
+
 /// A pinned reader and what the world looked like when it pinned.
 fn assert_pinned_view(snap: &Snapshot, objs: &[LargeObject], models: &[Vec<u8>]) {
     for (obj, model) in objs.iter().zip(models) {
@@ -424,8 +431,10 @@ fn assert_pinned_view(snap: &Snapshot, objs: &[LargeObject], models: &[Vec<u8>])
     }
 }
 
+// Four times the default cases: only about a quarter of them replace
+// into an object with a ≥ 2T-page segment while a reader is pinned.
 proptest! {
-    #![proptest_config(ProptestConfig { cases: prop_cases(), ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 4 * prop_cases(), ..ProptestConfig::default() })]
 
     /// Model-based snapshot isolation: interleaved writer transactions
     /// and pinned readers over a shared durable store. Every pinned
@@ -452,26 +461,40 @@ proptest! {
             WAL_PAGES,
         )
         .unwrap();
+        // The third object is one 40-page segment — past 2T pages at
+        // the default T = 8 — so replaces into it take the L/N/R split
+        // path (pieces kept in place, shared with pinned roots).
         let mut objs = vec![
             store.create_with(&fill(1, 700), None).unwrap(),
             store.create_with(&fill(2, 1_300), None).unwrap(),
+            store.create_with(&fill(3, 40_000), Some(40_000)).unwrap(),
         ];
-        let mut models: Vec<Vec<u8>> = vec![fill(1, 700), fill(2, 1_300)];
+        let mut models: Vec<Vec<u8>> = vec![fill(1, 700), fill(2, 1_300), fill(3, 40_000)];
+        let caps = [8_000, 8_000, 48_000];
         let cs = ConcurrentStore::new(store);
-        let mut pins: Vec<(Snapshot, Vec<Vec<u8>>)> = Vec::new();
+        // Start with one reader pinned at the seed state (a DropPin act
+        // may release it), so early writes already run under a pin.
+        let mut pins: Vec<(Snapshot, Vec<Vec<u8>>)> = vec![(cs.snapshot(), models.clone())];
+        let mut split_under_pin = false;
 
         for (i, act) in acts.iter().enumerate() {
             match act {
                 SnapAct::Txn { obj, ops, commit } => {
                     let o = obj % objs.len();
+                    let big = cs
+                        .with_store(|st| st.object_stats(&objs[o]))
+                        .unwrap()
+                        .max_seg_pages
+                        >= 16;
                     let txn = cs.begin();
                     let mut work = objs[o].clone();
                     let mut m = models[o].clone();
                     for (j, op) in ops.iter().enumerate() {
                         let seed = (i * 7 + j) as u8;
-                        let Some(c) = concretize(op, m.len() as u64, seed, 8_000) else {
+                        let Some(c) = concretize(op, m.len() as u64, seed, caps[o]) else {
                             continue;
                         };
+                        split_under_pin |= big && !pins.is_empty() && matches!(c, Cop::Replace(..));
                         model_apply(&mut m, &c);
                         txn_apply(&txn, &mut work, &c);
                     }
@@ -520,6 +543,10 @@ proptest! {
             assert_pinned_view(snap, &objs, at_pin);
         }
         drop(pins);
+        let reached = SPLIT_UNDER_PIN.fetch_add(u32::from(split_under_pin), Ordering::Relaxed)
+            + u32::from(split_under_pin);
+        let cases = PIN_CASES.fetch_add(1, Ordering::Relaxed) + 1;
+        eprintln!("pinned_readers_see_their_pin_point: {reached} of {cases} cases replaced into an object with a ≥ 2T-page segment under a live pin");
 
         let store = match cs.try_into_inner() {
             Ok(s) => s,

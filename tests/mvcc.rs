@@ -633,3 +633,57 @@ fn failed_force_releases_locks_and_drains_parked_batches() {
         "the failed commit's free batch leaked in the buddy registry"
     );
 }
+
+/// Regression: two writers on one object must not lose an update. Every
+/// write publishes a whole new root at commit, so a scope writing
+/// through a descriptor taken before another scope's commit would
+/// publish a root without that commit's bytes — and pointing at pages
+/// it freed. Replace takes the whole-object lock, and a scope's first
+/// write through a descriptor older than the committed root fails
+/// with [`Error::StaleDescriptor`]; retrying with the committed
+/// descriptor keeps both updates and the volume clean.
+#[test]
+fn disjoint_replaces_of_one_object_keep_both_updates() {
+    let metrics = Metrics::new();
+    let mut store = durable_store(&metrics);
+    let mut model = pattern(4, 60_000);
+    let obj = store.create_with(&model, None).unwrap();
+    let id = obj.id();
+    let cs = ConcurrentStore::new(store);
+
+    let mut a = obj.clone();
+    let txn_a = cs.begin();
+    txn_a.replace(&mut a, 0, &[0xA1; 100]).unwrap();
+
+    // Writer B starts from the same committed descriptor and replaces a
+    // disjoint range while A is still open.
+    let writer_b = {
+        let cs = cs.clone();
+        let mut b = obj.clone();
+        std::thread::spawn(move || {
+            let txn_b = cs.begin();
+            match txn_b.replace(&mut b, 50_000, &[0xB2; 100]) {
+                Ok(()) => txn_b.commit().map(|()| None),
+                Err(e) => txn_b.abort().map(|()| Some(e)),
+            }
+        })
+    };
+    std::thread::sleep(Duration::from_millis(20));
+    txn_a.commit().unwrap();
+    let refused = writer_b.join().unwrap().unwrap();
+    assert!(
+        matches!(refused, Some(Error::StaleDescriptor { id: i, .. }) if i == id),
+        "a write through a descriptor older than the committed root was not refused: {refused:?}"
+    );
+    model[..100].fill(0xA1);
+
+    // The retry starts from the committed root and keeps A's bytes.
+    let mut b = cs.snapshot().object(id).unwrap();
+    let txn_b = cs.begin();
+    txn_b.replace(&mut b, 50_000, &[0xB2; 100]).unwrap();
+    txn_b.commit().unwrap();
+    model[50_000..50_100].fill(0xB2);
+
+    assert_eq!(cs.snapshot().read_all(id).unwrap(), model);
+    check_clean(cs, &[("obj".to_string(), b)]);
+}

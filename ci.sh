@@ -102,7 +102,8 @@ PROPTEST_SEED=3735928559 \
 echo "== crashdep (L6 static + barrier-mutation smoke) =="
 # The durability-ordering gate end to end: the static rule re-runs as
 # part of the lint step above; here the runtime half elides the three
-# pinned sync sites (undo force, data barrier, frame force) and the
+# pinned sync sites (the frame force in-place writes wait for, data
+# barrier, frame force) and the
 # census test cross-checks the static seal-site list. The full
 # every-sync sweep rides in the workspace test step.
 cargo test --release --offline --test barrier_mutation quick_ -- --nocapture
@@ -131,13 +132,14 @@ EOS_STRESS_SEED=3735928559 \
     --test mvcc -- --nocapture
 cargo clippy --workspace --all-targets --offline --features lockdep -- -D warnings
 
-echo "== perfbench (own tests + edit and read_mix smokes) =="
+echo "== perfbench (own tests + ingest, edit and read_mix smokes) =="
 # The benchmark package builds outside the workspace: run its tests
-# (among them the timing-wrapper reconciliation test), then short edit
-# and read_mix runs (read_mix's writer does nothing but copy-on-write
-# replaces) whose JSON verdicts must be correct with no failed ops.
+# (among them the timing-wrapper reconciliation test), then a short run
+# of every workload (read_mix's writer does nothing but in-place
+# replaces under pinned snapshot readers) whose JSON verdicts must be
+# correct with no failed ops.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
-for workload in edit read_mix; do
+for workload in ingest edit read_mix; do
     cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 7 --seconds 2 --trace 0 | tail -n 1 > PERFBENCH_smoke.json
     WORKLOAD="$workload" python3 - <<'EOF_SMOKE'

@@ -197,10 +197,11 @@ pub fn check_store(
     findings.extend(census::run(store, objects, &audits));
 
     // WAL / LSN sanity (§4.5) — against the caller-held in-memory log
-    // or, on a durable store, its own on-disk log.
+    // or, on a durable store, its own on-disk log (which carries no
+    // logical op records: only the LSN tail applies).
     let lsn_view: Option<(u64, Vec<eos_core::wal::LogRecord>)> = match wal {
         Some(w) => Some((w.last_lsn(), w.records().to_vec())),
-        None => store.durable_wal().map(|w| (w.last_lsn(), w.records())),
+        None => store.durable_wal().map(|w| (w.last_lsn(), Vec::new())),
     };
     if let Some((tail, records)) = lsn_view {
         for (name, obj) in objects {

@@ -987,8 +987,8 @@ pub fn run(args: &[String]) -> Result<String> {
                 .unwrap();
                 writeln!(
                     out,
-                    "  rolled back {} uncommitted op(s), restored {} page(s) from before-images",
-                    report.rolled_back_ops, report.restored_pages
+                    "  rolled back {} uncommitted op(s), redid {} in-place write(s) ({} cancelled)",
+                    report.rolled_back_ops, report.redo_pages, report.redo_cancelled
                 )
                 .unwrap();
                 writeln!(
@@ -1628,6 +1628,9 @@ mod tests {
             table.contains("OPERATION") && table.contains("create"),
             "{table}"
         );
+        for metric in ["wal.redo_bytes", "mvcc.overlay_pages"] {
+            assert!(table.contains(metric), "{metric} missing from {table}");
+        }
         let traced = call(&["stats", dbs, "--trace"]).unwrap();
         assert!(traced.contains("SEQ"), "{traced}");
         let prom = call(&["stats", dbs, "--prom"]).unwrap();

@@ -52,13 +52,13 @@ use std::time::Instant;
 
 use eos_buddy::FreeBatch;
 use eos_obs::{Counter, Gauge, Histogram, Metrics, PipeKind, PIN_TRACE_BIT};
-use eos_pager::SharedVolume;
+use eos_pager::{PageId, SharedVolume};
 use parking_lot::{LockClass, TrackedCondvar, TrackedMutex, TrackedRwLock};
 
 use crate::error::{Error, Result};
 use crate::locks::{LockMode, RangeLockManager, TxnId};
 use crate::object::LargeObject;
-use crate::store::{ObjectStore, PreparedCommit};
+use crate::store::{ObjectStore, PreparedCommit, View};
 use crate::striped::StripedWal;
 
 /// A shareable handle to one [`ObjectStore`]. Clone it freely — all
@@ -154,11 +154,15 @@ struct MvccState {
 }
 
 /// One parked deferred-free batch: the frees of a commit published at
-/// `epoch`, reclaimable once no reader pin is older than that epoch.
+/// `epoch`, reclaimable once no reader pin is older than that epoch,
+/// together with the before-images its in-place writes parked in the
+/// store's overlay under the same epoch.
 struct DeferredFrees {
     epoch: u64,
     batch: FreeBatch,
     pages: u64,
+    /// Pages whose before-image the commit parked.
+    overlay: Vec<PageId>,
 }
 
 impl MvccState {
@@ -406,6 +410,7 @@ impl ConcurrentStore {
         for i in 0..reclaim.len() {
             let (epoch, batch, pages) = {
                 let d = &reclaim[i];
+                st.drop_overlay(d.epoch, &d.overlay);
                 (d.epoch, d.batch, d.pages)
             };
             inner.cobs.metrics.pipe_event(
@@ -440,20 +445,24 @@ impl ConcurrentStore {
 
     /// Publish one prepared commit to readers and retire its deferred
     /// frees: bump the epoch, swap in a new committed root set with the
-    /// scope's touched roots and tombstones applied, then either apply
-    /// the free batch immediately (no reader pinned an older epoch) or
-    /// park it on the epoch-tagged deferred list. Called with the store
-    /// write latch held; the MVCC latch nests inside it and is released
-    /// before the frees are applied.
+    /// scope's touched roots and tombstones applied, write the scope's
+    /// stashed pages in place, then either apply the free batch
+    /// immediately (no reader pinned an older epoch) or park it on the
+    /// epoch-tagged deferred list — together with the before-images of
+    /// the in-place writes, which the older pins read instead of the
+    /// new pages. Called with the store write latch held, so no reader
+    /// sees the epoch bump without the writes; the MVCC latch nests
+    /// inside it and is released before any I/O.
     // durability: requires(commit-frame)
-    fn publish_commit(&self, st: &mut ObjectStore, prep: &PreparedCommit) -> Result<()> {
+    fn publish_commit(&self, st: &mut ObjectStore, prep: &mut PreparedCommit) -> Result<()> {
         let inner = &*self.inner;
         let pages = st.buddy().batch_page_count(prep.batch);
+        let overlay = prep.in_place_pages();
         let mut decoded = Vec::with_capacity(prep.touched.len());
         for (id, bytes) in &prep.touched {
             decoded.push((*id, Arc::new(LargeObject::from_bytes(bytes)?)));
         }
-        let apply_now = {
+        let (epoch, park) = {
             let mut mv = inner.mvcc.lock();
             mv.epoch += 1;
             if !decoded.is_empty() || !prep.deleted.is_empty() {
@@ -468,12 +477,14 @@ impl ConcurrentStore {
             }
             let lag = mv.epoch - mv.oldest_pin().unwrap_or(mv.epoch);
             inner.mvcc_obs.oldest_epoch_lag.set(lag);
-            if pages > 0 && !mv.pinned.is_empty() {
-                let epoch = mv.epoch;
+            let epoch = mv.epoch;
+            let park = (pages > 0 || !overlay.is_empty()) && !mv.pinned.is_empty();
+            if park {
                 mv.deferred.push_back(DeferredFrees {
                     epoch,
                     batch: prep.batch,
                     pages,
+                    overlay,
                 });
                 inner.mvcc_obs.deferred_pages.add(pages);
                 inner.cobs.metrics.pipe_event(
@@ -482,12 +493,11 @@ impl ConcurrentStore {
                     epoch | PIN_TRACE_BIT,
                     0,
                 );
-                None
-            } else {
-                Some(mv.epoch)
             }
+            (epoch, park)
         };
-        if let Some(epoch) = apply_now {
+        st.write_in_place(prep, park.then_some(epoch))?;
+        if !park {
             inner.cobs.metrics.pipe_event(
                 PipeKind::Instant,
                 "mvcc.apply",
@@ -532,8 +542,9 @@ impl ConcurrentStore {
     /// the deferred frees (parked if a reader epoch is pinned).
     fn commit_solo(&self, id: TxnId) -> Result<()> {
         let inner = &*self.inner;
-        // Data barrier: shadowed pages and undo images must be on disk
-        // before the commit record that publishes them.
+        // Data barrier: shadowed pages must be on disk before the commit
+        // record that publishes them (only a scope that allocated has
+        // any).
         if inner.sync_on_commit && inner.wal.is_some() {
             let dirty = inner.store.read().scope_dirty(id);
             if dirty {
@@ -548,7 +559,7 @@ impl ConcurrentStore {
             }
         }
         // Append the commit record under the write latch, no force.
-        let prep = {
+        let mut prep = {
             let mut st = inner.store.write();
             // durability: mutates(commit-frame)
             st.prepare_commit(id, false)?
@@ -558,20 +569,17 @@ impl ConcurrentStore {
             if let Some(wal) = &inner.wal {
                 // durability: seals(commit-frame)
                 if let Err(e) = wal.sync_stripes(&prep.stripes) {
-                    // Durability unknown: drop the scope's deferred
-                    // frees from the buddy registry *without* freeing
-                    // (leaked pages are recoverable by restart;
-                    // freeing pages a possibly-durable commit still
-                    // references is not), then fail the commit.
-                    inner.store.write().buddy().abort_frees(prep.batch);
-                    return Err(Error::CommitFailed {
-                        reason: format!("log force failed: {e}"),
-                    });
+                    // Durability unknown: settle the scope
+                    // ([`ObjectStore::fail_commit_force`]), then fail
+                    // the commit.
+                    let reason = format!("log force failed: {e}");
+                    inner.store.write().fail_commit_force(&prep, &reason);
+                    return Err(Error::CommitFailed { reason });
                 }
             }
         }
         let mut st = inner.store.write();
-        self.publish_commit(&mut st, &prep)
+        self.publish_commit(&mut st, &mut prep)
     }
 
     /// Group commit: enqueue the scope, then either wait for a leader
@@ -659,8 +667,9 @@ impl ConcurrentStore {
         let t0 = m.now_ns();
 
         // Phase A — one data barrier for the whole batch, outside the
-        // latch: shadowed pages and undo images of *every* scope in
-        // the batch must be on disk before any commit record.
+        // latch: shadowed pages of *every* scope in the batch must be
+        // on disk before any commit record. Skipped when no scope
+        // allocated: a replace-only batch costs the Phase C force alone.
         if inner.sync_on_commit {
             let dirty = {
                 let st = inner.store.read();
@@ -731,9 +740,9 @@ impl ConcurrentStore {
         }
         let t3 = m.now_ns();
 
-        // Phase D — publish each scope's new roots to readers and
-        // apply (or park, behind pinned reader epochs) its deferred
-        // frees, under the latch.
+        // Phase D — publish each scope's new roots to readers, write
+        // its stashed pages in place and apply (or park, behind pinned
+        // reader epochs) its deferred frees, under the latch.
         let mut out = Vec::with_capacity(prepared.len());
         {
             let mut st = inner.store.write();
@@ -741,21 +750,17 @@ impl ConcurrentStore {
                 let res = match r {
                     // `prepare_commit` already rolled the scope back.
                     Err(e) => Err(e),
-                    Ok(prep) => match &force_err {
+                    Ok(mut prep) => match &force_err {
                         // The force failed after the records were written:
-                        // durability is unknown, so surface an error and
-                        // drop the frees — out of the buddy registry too,
-                        // or the batch entry would pin `pending_extents`
-                        // forever (leaking the *pages* is recoverable by
-                        // restart; freeing pages a possibly-durable
-                        // commit still references is not).
+                        // durability is unknown, so settle the scope
+                        // ([`ObjectStore::fail_commit_force`]) and
+                        // surface an error.
                         Some(msg) => {
-                            st.buddy().abort_frees(prep.batch);
-                            Err(Error::CommitFailed {
-                                reason: format!("group log force failed: {msg}"),
-                            })
+                            let reason = format!("group log force failed: {msg}");
+                            st.fail_commit_force(&prep, &reason);
+                            Err(Error::CommitFailed { reason })
                         }
-                        None => self.publish_commit(&mut st, &prep),
+                        None => self.publish_commit(&mut st, &mut prep),
                     },
                 };
                 out.push((t, res));
@@ -890,41 +895,39 @@ impl Txn {
 
     /// Read `len` bytes at `offset` — **lock-free**. If this scope has
     /// written the object, the caller's descriptor (its uncommitted
-    /// view) is read directly; otherwise an implicit snapshot pins the
-    /// current epoch and the read traverses the committed root for the
-    /// object id, immune to concurrent commits and page reclaim.
+    /// view) is read, together with the scope's stashed in-place
+    /// writes; otherwise an implicit snapshot pins the current epoch
+    /// and the read traverses the committed root for the object id,
+    /// immune to concurrent commits, in-place writes and page reclaim.
     pub fn read(&self, obj: &LargeObject, offset: u64, len: u64) -> Result<Vec<u8>> {
-        if self.wrote.borrow().contains(&obj.id) {
-            return self.cs.inner.store.read().read(obj, offset, len);
-        }
-        let pinned = Instant::now();
-        let (epoch, roots) = self.cs.pin();
-        let r = {
-            let st = self.cs.inner.store.read();
-            match roots.get(&obj.id) {
-                Some(committed) => st.read(committed, offset, len),
-                None => st.read(obj, offset, len),
-            }
-        };
-        self.cs.unpin_and_reclaim(epoch)?;
-        self.cs.inner.cobs.pin_hold_us.record(us_since(pinned));
-        r
+        self.read_with(obj, |_| (offset, len))
     }
 
     /// Read the whole object — lock-free, same resolution as
     /// [`Txn::read`].
     pub fn read_all(&self, obj: &LargeObject) -> Result<Vec<u8>> {
+        self.read_with(obj, |o| (0, o.size()))
+    }
+
+    /// The read behind [`Self::read`] and [`Self::read_all`]: `range`
+    /// picks `(offset, len)` from the descriptor the read resolves to.
+    fn read_with(
+        &self,
+        obj: &LargeObject,
+        range: impl Fn(&LargeObject) -> (u64, u64),
+    ) -> Result<Vec<u8>> {
         if self.wrote.borrow().contains(&obj.id) {
-            return self.cs.inner.store.read().read_all(obj);
+            let (offset, len) = range(obj);
+            let st = self.cs.inner.store.read();
+            return st.read_in(View::Scope(self.id), obj, offset, len);
         }
         let pinned = Instant::now();
         let (epoch, roots) = self.cs.pin();
         let r = {
             let st = self.cs.inner.store.read();
-            match roots.get(&obj.id) {
-                Some(committed) => st.read_all(committed),
-                None => st.read_all(obj),
-            }
+            let target = roots.get(&obj.id).map_or(obj, |o| &**o);
+            let (offset, len) = range(target);
+            st.read_in(View::AsOf(epoch), target, offset, len)
         };
         self.cs.unpin_and_reclaim(epoch)?;
         self.cs.inner.cobs.pin_hold_us.record(us_since(pinned));
@@ -939,21 +942,23 @@ impl Txn {
     }
 
     /// Overwrite bytes under an exclusive lock on the whole object. A
-    /// range lock would not do: the rewrite publishes a new root for
-    /// the object at commit, so two scopes replacing disjoint ranges
-    /// would each commit a root built from their own descriptor and the
-    /// later one would lose the earlier one's update. The rewrite is
-    /// copy-on-write ([`ObjectStore::replace_shadow`], a §4.4 L/N/R
-    /// rewrite of each touched segment): committed pages a reader
-    /// snapshot may be traversing are never overwritten, and the frees
-    /// of the superseded ones are deferred behind the reader epochs.
+    /// range lock would not do: a segment the replace rewrites gets a
+    /// new root for the object at commit, so two scopes replacing
+    /// disjoint ranges would each commit a root built from their own
+    /// descriptor and the later one would lose the earlier one's
+    /// update. On a durable store the replace is §4.2's in-place write,
+    /// redo-logged ([`ObjectStore::replace`]): the pages wait in the
+    /// scope's stash until the commit frame is durable, and Phase D
+    /// parks their before-images for readers pinned at older epochs.
+    /// A volatile store replaces the same way, minus the log: the stash
+    /// needs none to make abort free.
     pub fn replace(&self, obj: &mut LargeObject, offset: u64, data: &[u8]) -> Result<()> {
         self.cs
             .inner
             .locks
             .lock_object(self.id, obj.id, LockMode::Exclusive);
         self.note_write(obj)?;
-        self.with_scope(|st| st.replace_shadow(obj, offset, data))
+        self.with_scope(|st| st.staged_replace(obj, offset, data))
     }
 
     /// Append under an exclusive lock on the tail from the current
@@ -1085,13 +1090,14 @@ impl Snapshot {
     /// no locks, unaffected by commits after the pin.
     pub fn read(&self, id: u64, offset: u64, len: u64) -> Result<Vec<u8>> {
         let obj = self.roots.get(&id).ok_or(Error::UnknownObject { id })?;
-        self.cs.inner.store.read().read(obj, offset, len)
+        let st = self.cs.inner.store.read();
+        st.read_in(View::AsOf(self.epoch), obj, offset, len)
     }
 
     /// Read the whole object `id` as of the pin.
     pub fn read_all(&self, id: u64) -> Result<Vec<u8>> {
-        let obj = self.roots.get(&id).ok_or(Error::UnknownObject { id })?;
-        self.cs.inner.store.read().read_all(obj)
+        let size = self.size_of(id)?;
+        self.read(id, 0, size)
     }
 }
 

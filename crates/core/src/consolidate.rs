@@ -72,7 +72,7 @@ pub(crate) fn consolidate_leaf_parent(
         let mut bytes: Vec<u8> = Vec::new();
         for e in &node.entries[a..b] {
             let pages = e.bytes.div_ceil(ps);
-            let buf = store.volume().read_pages(e.ptr, pages)?;
+            let buf = store.read_leaf(e.ptr, pages)?;
             bytes.extend_from_slice(&buf[..e.bytes as usize]);
         }
         let fresh = crate::ops::rewrite::write_new_segments(store, &bytes)?;

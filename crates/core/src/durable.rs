@@ -31,16 +31,21 @@
 //!
 //! The **commit point** is the append (plus fsync) of a
 //! [`WalEntry::Commit`] record carrying the serialized root descriptors
-//! of every object the transaction touched and tombstones for the ones
-//! it deleted. Everything else on the volume — leaf segments, shadowed
-//! index pages, buddy directories — is reconstructible from those
-//! descriptors, which is what restart recovery
+//! of every object the transaction touched, tombstones for the ones it
+//! deleted, and the physical **redo records** ([`Redo`]) of its in-place
+//! leaf writes (§4.2 replace). Those writes reach their pages only
+//! after the record is durable (no-steal), so the log never needs undo:
+//! everything else on the volume — leaf segments, shadowed index pages,
+//! buddy directories — is reconstructible from the descriptors, and the
+//! in-place pages from the redo, which is what restart recovery
 //! ([`crate::ObjectStore::open_durable`]) does.
 //!
 //! Checkpointing uses the classic dual-half scheme: the live root map is
 //! written as a single [`WalEntry::Checkpoint`] record at the start of
-//! the *inactive* half (followed by any still-pending uncommitted
-//! records, which must survive the flip), and then the superblock is
+//! the *inactive* half — together with the redo of every commit whose
+//! in-place write has not been issued yet, and followed by any
+//! still-pending uncommitted records, which must survive the flip —
+//! and then the superblock is
 //! rewritten with a bumped epoch to point at it. A crash anywhere in
 //! between leaves the old superblock — and therefore the old, complete
 //! half — in force.
@@ -48,12 +53,12 @@
 // The write-ordering contract this module anchors (rule L6, DESIGN.md
 // §15). Roots first, then the classes whose safety hangs on them:
 //
-// durability-class: undo-image requires = none
 // durability-class: shadow-data requires = none
 // durability-class: commit-frame requires = shadow-data
+// durability-class: committed-page requires = commit-frame
 // durability-class: superblock requires = shadow-data
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use eos_obs::{Counter, Metrics, OpKind, PipeKind};
 use eos_pager::{PageId, SharedVolume};
@@ -61,7 +66,7 @@ use eos_pager::{PageId, SharedVolume};
 use crate::codec;
 use crate::error::{Error, Result};
 use crate::locks::TxnId;
-use crate::wal::{put_bytes, LogRecord, Reader};
+use crate::wal::{put_bytes, Reader};
 
 /// Magic tag of a log superblock ("EOSW").
 const SB_MAGIC: u32 = 0x454F_5357; // format-anchor: SB_MAGIC
@@ -69,9 +74,14 @@ const SB_MAGIC: u32 = 0x454F_5357; // format-anchor: SB_MAGIC
 /// to every frame header; v3 stamps every Op/Touch/Commit/Abort entry
 /// with its transaction scope so concurrent scopes can commit and roll
 /// back independently; v4 adds the `participants` count to commit
-/// records so a commit split across WAL stripes resolves atomically —
-/// a restart honors it only when every sibling part survived).
-const SB_VERSION: u32 = 4; // format-anchor: SB_VERSION
+/// records so a commit split across WAL stripes resolves atomically;
+/// v5 adds redo records and freed extents to commit records and carried
+/// redo to checkpoints, and no longer writes undo-image Op entries).
+const SB_VERSION: u32 = 5; // format-anchor: SB_VERSION
+/// The previous format version, still attached: its commit records
+/// decode as v5 records without redo, and a pending undo-image entry
+/// is refused ([`Error::LegacyUndoLog`]) rather than rolled back.
+const SB_VERSION_V4: u32 = 4; // format-anchor: SB_VERSION_V4
 /// Serialized superblock length: magic 4 + version 4 + epoch 8 +
 /// active 1 + crc 4.
 const SB_LEN: usize = 21; // format-anchor: SB_LEN
@@ -79,7 +89,8 @@ const SB_LEN: usize = 21; // format-anchor: SB_LEN
 const FRAME_HEADER: u64 = 12; // format-anchor: FRAME_HEADER
 /// Smallest usable log region: 2 superblock pages + 1 page per half.
 const MIN_LOG_PAGES: u64 = 4; // format-anchor: MIN_LOG_PAGES
-/// Entry tag: logged §4 operation.
+/// Entry tag: a v4 logged `replace` carrying undo page images. Never
+/// written any more; decoded only to recognise a v4 log's pending tail.
 const ENTRY_TAG_OP: u8 = 1; // format-anchor: ENTRY_TAG_OP
 /// Entry tag: structural update (no logical payload).
 const ENTRY_TAG_TOUCH: u8 = 2; // format-anchor: ENTRY_TAG_TOUCH
@@ -89,6 +100,9 @@ const ENTRY_TAG_COMMIT: u8 = 3; // format-anchor: ENTRY_TAG_COMMIT
 const ENTRY_TAG_ABORT: u8 = 4; // format-anchor: ENTRY_TAG_ABORT
 /// Entry tag: checkpoint (complete committed root map).
 const ENTRY_TAG_CHECKPOINT: u8 = 5; // format-anchor: ENTRY_TAG_CHECKPOINT
+/// Encoded header of one redo record: page u64 + offset u32 + length
+/// u32 — what an in-place write costs in log bytes beyond its data.
+pub const REDO_HEADER: u64 = 16; // format-anchor: REDO_HEADER
 
 // ---- CRC-32 (IEEE 802.3) ------------------------------------------------
 
@@ -135,26 +149,53 @@ fn frame_crc(epoch: u32, payload: &[u8]) -> u32 {
 
 // ---- log entries --------------------------------------------------------
 
+/// One physical redo record: after the commit carrying it is durable,
+/// `bytes` belong at byte `offset` of volume page `page`. Replaying it
+/// is a read-modify-write of that page, so a torn in-place write is
+/// repaired too — the bytes outside the range are the same in the old
+/// and the new page.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Redo {
+    /// Volume page the write lands on.
+    pub page: PageId,
+    /// Byte offset of `bytes` within the page.
+    pub offset: u32,
+    /// The after-image of the written range.
+    pub bytes: Vec<u8>,
+}
+
+impl Redo {
+    /// Encoded size: the record header plus the data.
+    pub fn encoded_len(&self) -> u64 {
+        REDO_HEADER + self.bytes.len() as u64
+    }
+}
+
+/// One step of recovery's redo pass: a commit's in-place write, or an
+/// extent a later commit freed, which cancels earlier redo on its
+/// pages.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum RedoStep {
+    Write(Redo),
+    Free(PageId, u64),
+}
+
 /// One durable log record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalEntry {
-    /// A logged §4 operation: the logical record (operation +
-    /// parameters, as the paper requires since leaf segments carry no
-    /// control information), the object's serialized root *after* the
-    /// operation, and — for `replace` only, which writes leaf pages in
-    /// place — the physical before-images of every page it overwrites,
-    /// so an uncommitted replace can be rolled back byte-exactly no
-    /// matter where in the operation the power died.
-    Op {
-        /// Transaction scope the operation belongs to.
+    /// A v4 undo-logged `replace` (tag 1), decoded only so that a log
+    /// written by the previous format is never misread: a committed one
+    /// is inert (its in-place write was synced before its commit), a
+    /// pending one makes recovery refuse the log
+    /// ([`Error::LegacyUndoLog`]). `raw` is the frame payload, kept so
+    /// a checkpoint could carry it byte-exactly.
+    LegacyUndo {
+        /// Transaction scope the operation belonged to.
         txn: TxnId,
-        /// The logical operation record (assigns the LSN).
-        record: LogRecord,
-        /// Serialized [`crate::LargeObject`] descriptor after the op.
-        root_after: Vec<u8>,
-        /// `(first_page, page_bytes)` before-images of the in-place
-        /// writes; empty for the shadowed operations.
-        page_images: Vec<(PageId, Vec<u8>)>,
+        /// LSN of the operation.
+        lsn: u64,
+        /// The undecoded frame payload.
+        raw: Vec<u8>,
     },
     /// A structural update with no logical payload worth logging —
     /// compaction, consolidation, object deletion. Shadowing makes it
@@ -171,11 +212,11 @@ pub enum WalEntry {
         root_after: Vec<u8>,
     },
     /// The commit point of a transaction scope: the descriptors of
-    /// every object the scope touched and tombstones for the ones it
-    /// deleted. Once this record is on stable storage the transaction
-    /// is durable; until then it never happened. Covers only the
-    /// entries stamped with the same `txn` — entries of other open
-    /// scopes remain pending.
+    /// every object the scope touched, tombstones for the ones it
+    /// deleted, and the redo of its in-place writes. Once this record
+    /// is on stable storage the transaction is durable; until then it
+    /// never happened. Covers only the entries stamped with the same
+    /// `txn` — entries of other open scopes remain pending.
     Commit {
         /// Transaction scope this record commits.
         txn: TxnId,
@@ -193,9 +234,15 @@ pub enum WalEntry {
         touched: Vec<(u64, Vec<u8>)>,
         /// Ids of objects the transaction deleted.
         deleted: Vec<u64>,
+        /// Redo of the scope's in-place writes, applied after the
+        /// record is durable.
+        redo: Vec<Redo>,
+        /// `(start page, pages)` extents the scope freed that overlap a
+        /// page with redo earlier in this log half: recovery drops that
+        /// redo, because the page may since have been reallocated.
+        freed: Vec<(PageId, u64)>,
     },
-    /// An explicit rollback: the records of this scope are void (their
-    /// effects were already reversed by the time this is written).
+    /// An explicit rollback: the records of this scope are void.
     Abort {
         /// Transaction scope this record voids.
         txn: TxnId,
@@ -203,12 +250,15 @@ pub enum WalEntry {
         lsn: u64,
     },
     /// A checkpoint: the complete committed root map at the moment the
-    /// log flipped halves. Starts every half.
+    /// log flipped halves, plus the redo of committed in-place writes
+    /// not yet issued at the flip. Starts every half.
     Checkpoint {
         /// Highest LSN assigned before the checkpoint.
         max_lsn: u64,
         /// The full `(object id, serialized descriptor)` map.
         roots: Vec<(u64, Vec<u8>)>,
+        /// Redo carried over from the previous half.
+        redo: Vec<Redo>,
     },
 }
 
@@ -222,7 +272,7 @@ fn put_roots(out: &mut Vec<u8>, roots: &[(u64, Vec<u8>)]) {
 
 fn read_roots(r: &mut Reader<'_>) -> Result<Vec<(u64, Vec<u8>)>> {
     let n = r.u32()? as usize;
-    let mut roots = Vec::with_capacity(n);
+    let mut roots = Vec::with_capacity(n.min(r.data.len()));
     for _ in 0..n {
         let id = r.u64()?;
         let desc = r.bytes()?;
@@ -231,27 +281,35 @@ fn read_roots(r: &mut Reader<'_>) -> Result<Vec<(u64, Vec<u8>)>> {
     Ok(roots)
 }
 
+fn put_redo(out: &mut Vec<u8>, redo: &[Redo]) {
+    out.extend_from_slice(&(redo.len() as u32).to_le_bytes());
+    for r in redo {
+        out.extend_from_slice(&r.page.to_le_bytes());
+        out.extend_from_slice(&r.offset.to_le_bytes());
+        put_bytes(out, &r.bytes);
+    }
+}
+
+fn read_redo(r: &mut Reader<'_>) -> Result<Vec<Redo>> {
+    let n = r.u32()? as usize;
+    let mut redo = Vec::with_capacity(n.min(r.data.len()));
+    for _ in 0..n {
+        redo.push(Redo {
+            page: r.u64()?,
+            offset: r.u32()?,
+            bytes: r.bytes()?,
+        });
+    }
+    Ok(redo)
+}
+
 impl WalEntry {
-    /// Serialize to the frame payload.
+    /// Serialize to the frame payload. A commit or checkpoint with no
+    /// redo (and no freed extents) encodes exactly as in v4.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
-            WalEntry::Op {
-                txn,
-                record,
-                root_after,
-                page_images,
-            } => {
-                out.push(ENTRY_TAG_OP);
-                out.extend_from_slice(&txn.to_le_bytes());
-                put_bytes(&mut out, &record.to_bytes());
-                put_bytes(&mut out, root_after);
-                out.extend_from_slice(&(page_images.len() as u32).to_le_bytes());
-                for (page, bytes) in page_images {
-                    out.extend_from_slice(&page.to_le_bytes());
-                    put_bytes(&mut out, bytes);
-                }
-            }
+            WalEntry::LegacyUndo { raw, .. } => out.extend_from_slice(raw),
             WalEntry::Touch {
                 txn,
                 lsn,
@@ -270,6 +328,8 @@ impl WalEntry {
                 participants,
                 touched,
                 deleted,
+                redo,
+                freed,
             } => {
                 out.push(ENTRY_TAG_COMMIT);
                 out.extend_from_slice(&txn.to_le_bytes());
@@ -280,22 +340,38 @@ impl WalEntry {
                 for id in deleted {
                     out.extend_from_slice(&id.to_le_bytes());
                 }
+                if !redo.is_empty() || !freed.is_empty() {
+                    put_redo(&mut out, redo);
+                    out.extend_from_slice(&(freed.len() as u32).to_le_bytes());
+                    for (start, pages) in freed {
+                        out.extend_from_slice(&start.to_le_bytes());
+                        out.extend_from_slice(&pages.to_le_bytes());
+                    }
+                }
             }
             WalEntry::Abort { txn, lsn } => {
                 out.push(ENTRY_TAG_ABORT);
                 out.extend_from_slice(&txn.to_le_bytes());
                 out.extend_from_slice(&lsn.to_le_bytes());
             }
-            WalEntry::Checkpoint { max_lsn, roots } => {
+            WalEntry::Checkpoint {
+                max_lsn,
+                roots,
+                redo,
+            } => {
                 out.push(ENTRY_TAG_CHECKPOINT);
                 out.extend_from_slice(&max_lsn.to_le_bytes());
                 put_roots(&mut out, roots);
+                if !redo.is_empty() {
+                    put_redo(&mut out, redo);
+                }
             }
         }
         out
     }
 
-    /// Decode a frame payload written by [`Self::to_bytes`].
+    /// Decode a frame payload written by [`Self::to_bytes`] (or by the
+    /// v4 format, whose records are a prefix of the v5 ones).
     pub fn from_bytes(data: &[u8]) -> Result<WalEntry> {
         let mut r = Reader { data, at: 0 };
         let tag = r.take(1)?[0];
@@ -303,21 +379,12 @@ impl WalEntry {
             ENTRY_TAG_OP => {
                 let txn = r.u64()?;
                 let body = r.bytes()?;
-                let mut rr = Reader { data: &body, at: 0 };
-                let record = LogRecord::read_from(&mut rr)?;
-                let root_after = r.bytes()?;
-                let n = r.u32()? as usize;
-                let mut page_images = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let page = r.u64()?;
-                    let bytes = r.bytes()?;
-                    page_images.push((page, bytes));
-                }
-                WalEntry::Op {
+                let lsn = Reader { data: &body, at: 0 }.u64()?;
+                r.at = data.len();
+                WalEntry::LegacyUndo {
                     txn,
-                    record,
-                    root_after,
-                    page_images,
+                    lsn,
+                    raw: data.to_vec(),
                 }
             }
             ENTRY_TAG_TOUCH => WalEntry::Touch {
@@ -332,9 +399,18 @@ impl WalEntry {
                 let participants = r.u32()?;
                 let touched = read_roots(&mut r)?;
                 let n = r.u32()? as usize;
-                let mut deleted = Vec::with_capacity(n);
+                let mut deleted = Vec::with_capacity(n.min(data.len()));
                 for _ in 0..n {
                     deleted.push(r.u64()?);
+                }
+                let (mut redo, mut freed) = (Vec::new(), Vec::new());
+                if r.at < data.len() {
+                    redo = read_redo(&mut r)?;
+                    let n = r.u32()? as usize;
+                    freed.reserve(n.min(data.len()));
+                    for _ in 0..n {
+                        freed.push((r.u64()?, r.u64()?));
+                    }
                 }
                 WalEntry::Commit {
                     txn,
@@ -342,6 +418,8 @@ impl WalEntry {
                     participants,
                     touched,
                     deleted,
+                    redo,
+                    freed,
                 }
             }
             ENTRY_TAG_ABORT => WalEntry::Abort {
@@ -351,6 +429,11 @@ impl WalEntry {
             ENTRY_TAG_CHECKPOINT => WalEntry::Checkpoint {
                 max_lsn: r.u64()?,
                 roots: read_roots(&mut r)?,
+                redo: if r.at < data.len() {
+                    read_redo(&mut r)?
+                } else {
+                    Vec::new()
+                },
             },
             _ => {
                 return Err(Error::CorruptObject {
@@ -358,17 +441,22 @@ impl WalEntry {
                 })
             }
         };
+        if r.at != data.len() {
+            return Err(Error::CorruptObject {
+                reason: format!("log entry tag {tag} has trailing bytes"),
+            });
+        }
         Ok(entry)
     }
 
-    /// The LSN this entry carries (the record LSN for ops, the scope's
-    /// highest LSN otherwise).
+    /// The LSN this entry carries (the operation's for a legacy entry,
+    /// the scope's highest LSN otherwise).
     pub fn lsn(&self) -> u64 {
         match self {
-            WalEntry::Op { record, .. } => record.lsn,
-            WalEntry::Touch { lsn, .. } => *lsn,
-            WalEntry::Commit { lsn, .. } => *lsn,
-            WalEntry::Abort { lsn, .. } => *lsn,
+            WalEntry::LegacyUndo { lsn, .. }
+            | WalEntry::Touch { lsn, .. }
+            | WalEntry::Commit { lsn, .. }
+            | WalEntry::Abort { lsn, .. } => *lsn,
             WalEntry::Checkpoint { max_lsn, .. } => *max_lsn,
         }
     }
@@ -377,7 +465,7 @@ impl WalEntry {
     /// checkpoints, which are scope-independent.
     pub fn txn(&self) -> Option<TxnId> {
         match self {
-            WalEntry::Op { txn, .. }
+            WalEntry::LegacyUndo { txn, .. }
             | WalEntry::Touch { txn, .. }
             | WalEntry::Commit { txn, .. }
             | WalEntry::Abort { txn, .. } => Some(*txn),
@@ -414,7 +502,8 @@ impl Superblock {
         if codec::u32_at(page, 0, "superblock magic").ok()? != SB_MAGIC {
             return None;
         }
-        if codec::u32_at(page, 4, "superblock version").ok()? != SB_VERSION {
+        let version = codec::u32_at(page, 4, "superblock version").ok()?;
+        if version != SB_VERSION && version != SB_VERSION_V4 {
             return None;
         }
         let sealed = page.get(0..SB_LEN - 4)?;
@@ -474,8 +563,10 @@ pub struct DurableWal {
     /// a fresh one, so a flip retried after a failed attempt never
     /// shares an epoch with the frames that attempt left behind.
     max_epoch: u64,
-    /// Why the log refuses further work, once a checkpoint's superblock
-    /// publish failed and the half in force on disk became unknown.
+    /// Why the log refuses further work: a checkpoint's superblock
+    /// publish failed and the half in force on disk became unknown, or
+    /// the store failed it ([`Self::fail`]) over a commit only recovery
+    /// can settle.
     failed: Option<String>,
     next_lsn: u64,
     /// Committed object id → serialized root descriptor.
@@ -484,12 +575,21 @@ pub struct DurableWal {
     /// root. Guards the fold: a held-out part of an older cross-stripe
     /// commit resolved late must not clobber a newer committed root.
     committed_lsn: BTreeMap<u64, u64>,
-    /// Op/Touch entries since the last commit/abort — the uncommitted
-    /// tail a restart must roll back.
+    /// Touch entries (and held cross-stripe commit parts) since the
+    /// last commit/abort — the uncommitted tail a restart discards.
     pending: Vec<WalEntry>,
-    /// Every logical op record seen (scan + appends), in LSN order —
-    /// the view `eos-check` audits.
-    ops: Vec<LogRecord>,
+    /// The redo and freed-extent steps of every commit in the active
+    /// half, carried redo first, in log order with their commit LSNs —
+    /// the input of recovery's redo pass.
+    redo_log: Vec<(u64, RedoStep)>,
+    /// Pages with a redo record in the active half: a later commit's
+    /// freed extents are logged only where they overlap one of these.
+    redo_pages: BTreeSet<PageId>,
+    /// Redo of committed scopes whose in-place write has not been
+    /// issued yet ([`Self::mark_applied`]); a checkpoint carries it into
+    /// the new half. After an attach it holds every redo of the half,
+    /// until recovery has replayed it.
+    unapplied: Vec<(TxnId, Vec<Redo>)>,
     /// Highest object id mentioned anywhere in the log.
     max_object_id: u64,
     records_scanned: u64,
@@ -586,7 +686,9 @@ impl DurableWal {
             committed: BTreeMap::new(),
             committed_lsn: BTreeMap::new(),
             pending: Vec::new(),
-            ops: Vec::new(),
+            redo_log: Vec::new(),
+            redo_pages: BTreeSet::new(),
+            unapplied: Vec::new(),
             max_object_id: 0,
             records_scanned: 0,
             torn_tail: false,
@@ -703,14 +805,9 @@ impl DurableWal {
     fn absorb(&mut self, entry: WalEntry) {
         self.next_lsn = self.next_lsn.max(entry.lsn() + 1);
         match entry {
-            WalEntry::Op { .. } | WalEntry::Touch { .. } => {
-                if let WalEntry::Op { ref record, .. } = entry {
-                    self.ops.push(record.clone());
-                    self.max_object_id = self.max_object_id.max(record.object);
-                }
-                if let WalEntry::Touch { object, .. } = entry {
-                    self.max_object_id = self.max_object_id.max(object);
-                }
+            WalEntry::LegacyUndo { .. } => self.pending.push(entry),
+            WalEntry::Touch { object, .. } => {
+                self.max_object_id = self.max_object_id.max(object);
                 self.pending.push(entry);
             }
             WalEntry::Commit { participants, .. } if participants > 1 => {
@@ -726,32 +823,50 @@ impl DurableWal {
                 lsn,
                 touched,
                 deleted,
+                redo,
+                freed,
                 ..
-            } => self.apply_commit(txn, lsn, touched, deleted),
+            } => self.apply_commit(txn, lsn, touched, deleted, redo, freed),
             WalEntry::Abort { txn, .. } => self.pending.retain(|e| e.txn() != Some(txn)),
-            WalEntry::Checkpoint { max_lsn, roots } => {
+            WalEntry::Checkpoint {
+                max_lsn,
+                roots,
+                redo,
+            } => {
                 self.committed = roots
                     .into_iter()
                     .inspect(|(id, _)| self.max_object_id = self.max_object_id.max(*id))
                     .collect();
                 self.committed_lsn = self.committed.keys().map(|&id| (id, max_lsn)).collect();
                 self.pending.clear();
+                self.redo_pages = redo.iter().map(|r| r.page).collect();
+                self.redo_log = redo
+                    .iter()
+                    .map(|r| (max_lsn, RedoStep::Write(r.clone())))
+                    .collect();
+                self.unapplied = if redo.is_empty() {
+                    Vec::new()
+                } else {
+                    vec![(0, redo)]
+                };
             }
         }
     }
 
-    /// Fold one commit's root updates into the committed map, guarded
-    /// by commit LSN: an older cross-stripe commit resolved after a
-    /// newer commit of the same object must not clobber the newer
-    /// root. Live appends are monotonic, so the guard only bites
-    /// during the attach-time stripe merge. Resolves every pending
-    /// entry of the scope.
+    /// Fold one commit into the committed map, guarded by commit LSN:
+    /// an older cross-stripe commit resolved after a newer commit of
+    /// the same object must not clobber the newer root. Live appends
+    /// are monotonic, so the guard only bites during the attach-time
+    /// stripe merge. Records the commit's freed extents and redo for
+    /// the redo pass, and resolves every pending entry of the scope.
     fn apply_commit(
         &mut self,
         txn: TxnId,
         lsn: u64,
         touched: Vec<(u64, Vec<u8>)>,
         deleted: Vec<u64>,
+        redo: Vec<Redo>,
+        freed: Vec<(PageId, u64)>,
     ) {
         for (id, desc) in touched {
             self.max_object_id = self.max_object_id.max(id);
@@ -766,6 +881,16 @@ impl DurableWal {
                 self.committed.remove(&id);
                 self.committed_lsn.insert(id, lsn);
             }
+        }
+        for (start, pages) in freed {
+            self.redo_log.push((lsn, RedoStep::Free(start, pages)));
+        }
+        if !redo.is_empty() {
+            for r in &redo {
+                self.redo_pages.insert(r.page);
+                self.redo_log.push((lsn, RedoStep::Write(r.clone())));
+            }
+            self.unapplied.push((txn, redo));
         }
         // Only this scope's entries are resolved; concurrent scopes
         // stay pending until their own commit/abort.
@@ -785,18 +910,19 @@ impl DurableWal {
                 lsn,
                 touched,
                 deleted,
+                redo,
+                freed,
                 ..
             } = self.pending.remove(at)
             {
-                self.apply_commit(txn, lsn, touched, deleted);
+                self.apply_commit(txn, lsn, touched, deleted, redo, freed);
             }
         }
     }
 
-    /// Void the held commit part of `txn` without touching its Op or
-    /// Touch entries — presumed abort for a cross-stripe commit that
-    /// never completed on every stripe; the surviving Ops keep their
-    /// before-images for the recovery rollback pass.
+    /// Void the held commit part of `txn` without touching its other
+    /// pending entries — presumed abort for a cross-stripe commit that
+    /// never completed on every stripe.
     pub(crate) fn drop_txn(&mut self, txn: TxnId) {
         self.pending
             .retain(|e| !matches!(e, WalEntry::Commit { txn: t, .. } if *t == txn));
@@ -820,8 +946,18 @@ impl DurableWal {
     /// reaches the volume before this returns — except a Touch frame,
     /// which is held until the next frame write carries it. Flips to a
     /// checkpoint automatically when the active half is full.
-    pub fn append(&mut self, entry: WalEntry) -> Result<()> {
+    pub fn append(&mut self, mut entry: WalEntry) -> Result<()> {
         self.check_live()?;
+        if let WalEntry::Commit { freed, .. } = &mut entry {
+            // Only a free that overlaps redo still in this half can
+            // cancel anything at recovery; the rest would be dead bytes.
+            freed.retain(|&(start, pages)| {
+                self.redo_pages
+                    .range(start..start.saturating_add(pages))
+                    .next()
+                    .is_some()
+            });
+        }
         let payload = entry.to_bytes();
         let frame = FRAME_HEADER + payload.len() as u64;
         if self.bytes_used() + frame + FRAME_HEADER > self.half_bytes() {
@@ -851,8 +987,14 @@ impl DurableWal {
         Ok(())
     }
 
-    /// Refuse work once a failed checkpoint publish left the half in
-    /// force unknown.
+    /// Refuse all further work until reopen ([`Error::LogFailed`]); the
+    /// first reason given is the one reported.
+    pub(crate) fn fail(&mut self, reason: &str) {
+        self.failed.get_or_insert_with(|| reason.to_string());
+    }
+
+    /// Refuse work once the log failed ([`Self::fail`], or a failed
+    /// checkpoint publish that left the half in force unknown).
     fn check_live(&self) -> Result<()> {
         match &self.failed {
             Some(reason) => Err(Error::LogFailed {
@@ -929,13 +1071,23 @@ impl DurableWal {
             .obs
             .as_ref()
             .map(|o| o.metrics.pipe_span("wal.checkpoint", 0, 0));
+        // Redo whose in-place write has not been issued yet (an earlier
+        // scope of the batch whose append flipped the log) must survive
+        // the flip: the old half, its only copy, stops being scanned.
+        let carried: Vec<Redo> = self
+            .unapplied
+            .iter()
+            .flat_map(|(_, redo)| redo.iter().cloned())
+            .collect();
+        let max_lsn = self.next_lsn - 1;
         let cp = WalEntry::Checkpoint {
-            max_lsn: self.next_lsn - 1,
+            max_lsn,
             roots: self
                 .committed
                 .iter()
                 .map(|(k, v)| (*k, v.clone()))
                 .collect(),
+            redo: carried.clone(),
         };
         let payloads: Vec<Vec<u8>> = std::iter::once(cp.to_bytes())
             .chain(self.pending.iter().map(WalEntry::to_bytes))
@@ -1005,6 +1157,11 @@ impl DurableWal {
             return Err(Error::LogFailed { reason });
         }
         self.sb_slot = slot;
+        self.redo_pages = carried.iter().map(|r| r.page).collect();
+        self.redo_log = carried
+            .into_iter()
+            .map(|r| (max_lsn, RedoStep::Write(r)))
+            .collect();
         self.checkpoints_taken += 1;
         if let Some(obs) = &self.obs {
             obs.checkpoints.inc();
@@ -1065,17 +1222,25 @@ impl DurableWal {
         self.pending.iter().filter(move |e| e.txn() == Some(txn))
     }
 
-    /// Drop the uncommitted tail from the in-memory view (recovery
-    /// calls this after rolling it back; the next checkpoint drops it
-    /// from disk too).
+    /// Drop the uncommitted tail and the unapplied redo from the
+    /// in-memory view (recovery calls this after its redo pass; the
+    /// next checkpoint drops both from disk too).
     pub(crate) fn clear_pending(&mut self) {
         self.pending.clear();
+        self.unapplied.clear();
     }
 
-    /// Every logical op record seen, in log order — the same view the
-    /// in-memory [`crate::wal::Wal`] offers, for `eos-check`.
-    pub fn records(&self) -> &[LogRecord] {
-        &self.ops
+    /// The redo and freed-extent steps of the active half, in log order
+    /// with their commit LSNs.
+    pub(crate) fn redo_steps(&self) -> &[(u64, RedoStep)] {
+        &self.redo_log
+    }
+
+    /// The in-place write of `txn`'s committed redo has been issued: a
+    /// later checkpoint need not carry it (its sync makes the write
+    /// durable before the superblock publish drops this half).
+    pub(crate) fn mark_applied(&mut self, txn: TxnId) {
+        self.unapplied.retain(|(t, _)| *t != txn);
     }
 
     /// Highest object id mentioned anywhere in the log.
@@ -1119,7 +1284,6 @@ impl Drop for DurableWal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::LogOp;
     use eos_pager::{DiskProfile, MemVolume};
 
     fn vol(pages: u64) -> SharedVolume {
@@ -1127,18 +1291,7 @@ mod tests {
     }
 
     fn op_entry(lsn: u64, object: u64, bytes: &[u8]) -> WalEntry {
-        WalEntry::Op {
-            txn: 1,
-            record: LogRecord {
-                lsn,
-                object,
-                op: LogOp::Append {
-                    bytes: bytes.to_vec(),
-                },
-            },
-            root_after: vec![1, 2, 3],
-            page_images: vec![],
-        }
+        op_entry_for(1, lsn, object, bytes)
     }
 
     #[test]
@@ -1151,20 +1304,6 @@ mod tests {
     fn entries_roundtrip() {
         let entries = [
             op_entry(7, 3, b"hello"),
-            WalEntry::Op {
-                txn: 42,
-                record: LogRecord {
-                    lsn: 8,
-                    object: 3,
-                    op: LogOp::Replace {
-                        offset: 10,
-                        before: vec![0; 4],
-                        after: vec![1; 4],
-                    },
-                },
-                root_after: vec![9; 40],
-                page_images: vec![(12, vec![5; 256]), (19, vec![6; 512])],
-            },
             WalEntry::Touch {
                 txn: 42,
                 lsn: 9,
@@ -1177,11 +1316,36 @@ mod tests {
                 participants: 2,
                 touched: vec![(3, vec![9; 40]), (4, vec![1])],
                 deleted: vec![17],
+                redo: vec![],
+                freed: vec![],
             },
             WalEntry::Abort { txn: 42, lsn: 11 },
             WalEntry::Checkpoint {
                 max_lsn: 11,
                 roots: vec![(3, vec![9; 40])],
+                redo: vec![],
+            },
+            WalEntry::Commit {
+                txn: 43,
+                lsn: 12,
+                participants: 1,
+                touched: vec![],
+                deleted: vec![],
+                redo: vec![Redo {
+                    page: 12,
+                    offset: 100,
+                    bytes: vec![5; 300],
+                }],
+                freed: vec![(40, 8)],
+            },
+            WalEntry::Checkpoint {
+                max_lsn: 13,
+                roots: vec![],
+                redo: vec![Redo {
+                    page: 19,
+                    offset: 0,
+                    bytes: vec![6; 256],
+                }],
             },
         ];
         for e in &entries {
@@ -1203,6 +1367,8 @@ mod tests {
                 participants: 1,
                 touched: vec![(5, vec![1, 2, 3])],
                 deleted: vec![],
+                redo: vec![],
+                freed: vec![],
             })
             .unwrap();
             wal.append(op_entry(3, 6, b"uncommitted")).unwrap();
@@ -1214,22 +1380,15 @@ mod tests {
         assert_eq!(wal.committed().len(), 1);
         assert_eq!(wal.committed()[&5], vec![1, 2, 3]);
         assert_eq!(wal.pending().len(), 1, "op 3 is the uncommitted tail");
-        assert_eq!(wal.records().len(), 3);
         assert_eq!(wal.max_object_id(), 6);
     }
 
     fn op_entry_for(txn: TxnId, lsn: u64, object: u64, bytes: &[u8]) -> WalEntry {
-        WalEntry::Op {
+        WalEntry::Touch {
             txn,
-            record: LogRecord {
-                lsn,
-                object,
-                op: LogOp::Append {
-                    bytes: bytes.to_vec(),
-                },
-            },
-            root_after: vec![1, 2, 3],
-            page_images: vec![],
+            lsn,
+            object,
+            root_after: bytes.to_vec(),
         }
     }
 
@@ -1247,6 +1406,8 @@ mod tests {
                 participants: 1,
                 touched: vec![(5, vec![1])],
                 deleted: vec![],
+                redo: vec![],
+                freed: vec![],
             })
             .unwrap();
             // Scope 1's entries are absorbed; scope 2's stay pending.
@@ -1276,10 +1437,13 @@ mod tests {
             participants: 1,
             touched: vec![(5, vec![1])],
             deleted: vec![],
+            redo: vec![],
+            freed: vec![],
         })
         .unwrap();
         let keep = wal.bytes_used();
-        wal.append(op_entry(2, 5, b"torn victim")).unwrap();
+        // An Abort frame is written at once (a Touch would be held).
+        wal.append(WalEntry::Abort { txn: 2, lsn: 2 }).unwrap();
         // Corrupt one payload byte of the last record on disk.
         let page = v.read_pages(2, 1).unwrap();
         let mut page = page;
@@ -1304,6 +1468,8 @@ mod tests {
             participants: 1,
             touched: vec![(5, vec![1])],
             deleted: vec![],
+            redo: vec![],
+            freed: vec![],
         })
         .unwrap();
         wal.append(op_entry(2, 6, b"in flight")).unwrap();
@@ -1334,6 +1500,8 @@ mod tests {
                 participants: 1,
                 touched: vec![(5, vec![8u8; 30])],
                 deleted: vec![],
+                redo: vec![],
+                freed: vec![],
             })
             .unwrap();
         }
@@ -1363,6 +1531,8 @@ mod tests {
             participants: 1,
             touched: vec![(5, vec![1])],
             deleted: vec![],
+            redo: vec![],
+            freed: vec![],
         })
         .unwrap();
         let epoch_of = |page: Vec<u8>| Superblock::from_page(&page).map(|sb| sb.epoch);
@@ -1423,6 +1593,8 @@ mod tests {
                 participants: 1,
                 touched: vec![(5, vec![1])],
                 deleted: vec![],
+                redo: vec![],
+                freed: vec![],
             })
             .unwrap();
         }
@@ -1445,6 +1617,8 @@ mod tests {
             participants: 2,
             touched: vec![(5, vec![1])],
             deleted: vec![],
+            redo: vec![],
+            freed: vec![],
         })
         .unwrap();
         // The part is held: nothing committed yet, the op still pends.
@@ -1463,7 +1637,7 @@ mod tests {
         assert_eq!(wal2.unresolved_commits(), vec![(1, 2)]);
         wal2.drop_txn(1);
         assert!(wal2.unresolved_commits().is_empty());
-        assert_eq!(wal2.pending_for(1).count(), 1, "the Op survives for undo");
+        assert_eq!(wal2.pending_for(1).count(), 1, "the Touch stays pending");
     }
 
     #[test]
@@ -1477,6 +1651,8 @@ mod tests {
             participants: 2,
             touched: vec![(5, vec![0xAA])],
             deleted: vec![],
+            redo: vec![],
+            freed: vec![],
         })
         .unwrap();
         // A newer self-contained commit of the same object at LSN 5.
@@ -1486,6 +1662,8 @@ mod tests {
             participants: 1,
             touched: vec![(5, vec![0xBB])],
             deleted: vec![],
+            redo: vec![],
+            freed: vec![],
         })
         .unwrap();
         // Resolving the stale part late must not roll the root back.
@@ -1500,6 +1678,8 @@ mod tests {
             participants: 1,
             touched: vec![(object, vec![lsn as u8])],
             deleted: vec![],
+            redo: vec![],
+            freed: vec![],
         }
     }
 
@@ -1625,5 +1805,64 @@ mod tests {
         drop(wal);
         let wal = DurableWal::attach(v, 4, 12).unwrap();
         assert_eq!(wal.records_scanned(), 0);
+    }
+
+    fn redo_commit(txn: TxnId, lsn: u64, redo: Vec<Redo>, freed: Vec<(PageId, u64)>) -> WalEntry {
+        WalEntry::Commit {
+            txn,
+            lsn,
+            participants: 1,
+            touched: vec![],
+            deleted: vec![],
+            redo,
+            freed,
+        }
+    }
+
+    fn redo_at(page: PageId) -> Redo {
+        Redo {
+            page,
+            offset: 3,
+            bytes: vec![9; 5],
+        }
+    }
+
+    #[test]
+    fn freed_extents_are_logged_only_over_redo_pages() {
+        let v = vol(64);
+        {
+            let mut wal = DurableWal::format(v.clone(), 0, 64).unwrap();
+            wal.append(redo_commit(1, 1, vec![redo_at(40)], vec![]))
+                .unwrap();
+            // Pages 10..14 never had redo: the free is dropped before
+            // encoding; 38..42 covers page 40 and is kept.
+            wal.append(redo_commit(2, 2, vec![], vec![(10, 4), (38, 4)]))
+                .unwrap();
+        }
+        let wal = DurableWal::attach(v, 0, 64).unwrap();
+        assert_eq!(
+            wal.redo_steps(),
+            &[
+                (1, RedoStep::Write(redo_at(40))),
+                (2, RedoStep::Free(38, 4)),
+            ]
+        );
+    }
+
+    #[test]
+    fn checkpoint_carries_only_unapplied_redo() {
+        let v = vol(64);
+        let mut wal = DurableWal::format(v.clone(), 0, 64).unwrap();
+        wal.append(redo_commit(1, 1, vec![redo_at(40)], vec![]))
+            .unwrap();
+        wal.append(redo_commit(2, 2, vec![redo_at(41)], vec![]))
+            .unwrap();
+        // Scope 1's in-place write was issued; scope 2's was not when
+        // the log flipped.
+        wal.mark_applied(1);
+        wal.checkpoint().unwrap();
+        drop(wal);
+        let wal = DurableWal::attach(v, 0, 64).unwrap();
+        assert_eq!(wal.redo_steps(), &[(2, RedoStep::Write(redo_at(41)))]);
     }
 }

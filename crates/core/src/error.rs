@@ -76,12 +76,23 @@ pub enum Error {
     },
     /// The durable log refuses all further work until the store is
     /// reopened: a checkpoint's superblock publish (or its force)
-    /// failed, so which log half is in force on disk is unknown. Only
-    /// restart recovery, which reads whichever superblock landed, can
-    /// tell.
+    /// failed, so which log half is in force on disk is unknown; or a
+    /// durable commit's in-place write failed part-way (or a failed
+    /// commit could not be compensated), so how far it applies is
+    /// unknown. Only restart recovery, which reads the log as it
+    /// landed, can tell.
     LogFailed {
-        /// Human-readable description of the failed publish.
+        /// Human-readable description of the failure.
         reason: String,
+    },
+    /// The log was written by the v4 format and its uncommitted tail
+    /// still holds an undo-image `replace` entry: rolling it back needs
+    /// the undo pass this version no longer has, so recovery refuses
+    /// the log rather than misread it. Recover it with the previous
+    /// version first.
+    LegacyUndoLog {
+        /// The scope whose undo entry is pending.
+        txn: u64,
     },
     /// An underlying buddy-allocator error.
     Buddy(eos_buddy::Error),
@@ -126,6 +137,11 @@ impl fmt::Display for Error {
                 "log record of {needed} bytes exceeds the {available}-byte log half"
             ),
             Error::LogFailed { reason } => write!(f, "log failed until reopen: {reason}"),
+            Error::LegacyUndoLog { txn } => write!(
+                f,
+                "v4 log holds a pending undo-image entry of scope {txn}: recover it with the \
+                 previous version first"
+            ),
             Error::Buddy(e) => write!(f, "space manager: {e}"),
             Error::Pager(e) => write!(f, "volume: {e}"),
         }

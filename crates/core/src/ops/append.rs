@@ -90,7 +90,7 @@ impl<'a> AppendSession<'a> {
             last_alloc_pages = seg_pages;
             let sm = e.bytes % ps;
             if sm != 0 {
-                let page = store.volume().read_pages(e.ptr + seg_pages - 1, 1)?;
+                let page = store.read_leaf(e.ptr + seg_pages - 1, 1)?;
                 partial0.extend_from_slice(&page[..sm as usize]);
                 shrink_last_by = sm;
                 store.free_pages(e.ptr + seg_pages - 1, 1)?;

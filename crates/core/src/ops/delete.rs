@@ -111,9 +111,7 @@ pub(crate) fn run(
             let (e, rel) = left.expect("from_l implies a left boundary");
             let lo_page = (rel - plan.from_l) / ps;
             let hi_page = (rel - 1) / ps;
-            let src = store
-                .volume()
-                .read_pages(e.ptr + lo_page, hi_page - lo_page + 1)?;
+            let src = store.read_leaf(e.ptr + lo_page, hi_page - lo_page + 1)?;
             let a = (rel - plan.from_l - lo_page * ps) as usize;
             n_bytes.extend_from_slice(&src[a..a + plan.from_l as usize]);
         }
@@ -123,7 +121,7 @@ pub(crate) fn run(
         } else {
             q
         };
-        let src = store.volume().read_pages(e.ptr + q, hi_page - q + 1)?;
+        let src = store.read_leaf(e.ptr + q, hi_page - q + 1)?;
         let a = (keep - q * ps) as usize;
         n_bytes.extend_from_slice(&src[a..a + n0 as usize]);
         if plan.from_r > 0 {

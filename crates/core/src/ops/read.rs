@@ -12,11 +12,14 @@
 
 use crate::error::{Error, Result};
 use crate::object::LargeObject;
-use crate::store::ObjectStore;
+use crate::store::{ObjectStore, View};
 use crate::tree::{descend, leaf_entry, PathStep};
 
+/// Read `len` bytes at `offset` of `obj`, leaf pages as `view` sees
+/// them.
 pub(crate) fn run(
     store: &ObjectStore,
+    view: View,
     obj: &LargeObject,
     offset: u64,
     len: u64,
@@ -51,27 +54,25 @@ pub(crate) fn run(
         let mut seg_written = 0usize;
         let mut page = p0;
         if skip > 0 {
-            store.volume().read_into(e.ptr + page, 1, &mut scratch)?;
+            store.read_leaf_into(view, e.ptr + page, 1, &mut scratch)?;
             let n = (psz - skip).min(take);
-            out[written..written + n].copy_from_slice(&scratch[skip..skip + n]);
+            copy_into(&mut out, written, scratch.get(skip..skip + n))?;
             seg_written += n;
             page += 1;
         }
         let whole_pages = (take - seg_written) / psz;
         if whole_pages > 0 {
             let n = whole_pages * psz;
-            store.volume().read_into(
-                e.ptr + page,
-                whole_pages as u64,
-                &mut out[written + seg_written..written + seg_written + n],
-            )?;
+            let at = written + seg_written;
+            let run = out.get_mut(at..at + n).ok_or_else(out_of_range)?;
+            store.read_leaf_into(view, e.ptr + page, whole_pages as u64, run)?;
             seg_written += n;
             page += whole_pages as u64;
         }
         if seg_written < take {
-            store.volume().read_into(e.ptr + page, 1, &mut scratch)?;
+            store.read_leaf_into(view, e.ptr + page, 1, &mut scratch)?;
             let n = take - seg_written;
-            out[written + seg_written..written + take].copy_from_slice(&scratch[..n]);
+            copy_into(&mut out, written + seg_written, scratch.get(..n))?;
             seg_written = take;
         }
         debug_assert_eq!(seg_written, take);
@@ -98,9 +99,13 @@ pub(crate) fn advance(store: &ObjectStore, path: &mut Vec<PathStep>) -> Result<(
         path.pop();
     }
     // Descend leftmost back to level 1.
-    while path.last().expect("non-empty").node.level > 1 {
-        let top = path.last().unwrap();
-        let ptr = top.node.entries[top.child].ptr;
+    while let Some(top) = path.last().filter(|top| top.node.level > 1) {
+        let ptr = top
+            .node
+            .entries
+            .get(top.child)
+            .ok_or_else(out_of_range)?
+            .ptr;
         let node = store.read_node(ptr)?;
         path.push(PathStep {
             page: Some(ptr),
@@ -109,4 +114,19 @@ pub(crate) fn advance(store: &ObjectStore, path: &mut Vec<PathStep>) -> Result<(
         });
     }
     Ok(())
+}
+
+/// Copy `src` (a checked sub-slice of a page buffer) into `out` at `at`.
+fn copy_into(out: &mut [u8], at: usize, src: Option<&[u8]>) -> Result<()> {
+    let src = src.ok_or_else(out_of_range)?;
+    out.get_mut(at..at + src.len())
+        .ok_or_else(out_of_range)?
+        .copy_from_slice(src);
+    Ok(())
+}
+
+fn out_of_range() -> Error {
+    Error::CorruptObject {
+        reason: "segment range outside the read buffer".into(),
+    }
 }

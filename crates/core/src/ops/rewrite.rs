@@ -1,5 +1,5 @@
 //! The §4.4 L/N/R rewrite of one leaf segment, shared by insert and
-//! copy-on-write replace.
+//! the copy-on-write side of replace.
 //!
 //! Both operations change a contiguous *window* of one segment S and
 //! leave the rest of S alone, so both cut S into three pieces (Fig 6):
@@ -9,8 +9,9 @@
 //! how N is built ([`Fill`]): insert splices its bytes in front of the
 //! window's old bytes, replace lays its bytes over them.
 //!
-//! [`run`] reshuffles the trio under the threshold T, reads only the
-//! planned source range of S (the window plus whatever L and R donate
+//! [`plan`] reshuffles the trio under the threshold T without any I/O
+//! (the durable replace prices it against an in-place write);
+//! [`execute`] then reads only the planned source range of S (the window plus whatever L and R donate
 //! to N), writes N, frees the pages of S between L′ and R′ — deferred
 //! behind the scope's release lock inside a transaction — and splices
 //! `[L′, N…, R′]` into the leaf parent. Nothing committed is ever
@@ -23,7 +24,7 @@ use crate::consolidate::consolidate_leaf_parent;
 use crate::error::{Error, Result};
 use crate::node::Entry;
 use crate::object::LargeObject;
-use crate::reshuffle::reshuffle;
+use crate::reshuffle::{reshuffle, ReshufflePlan};
 use crate::store::ObjectStore;
 use crate::tree::{propagate, repair_seam, PathStep};
 
@@ -37,32 +38,49 @@ pub(crate) enum Fill<'a> {
     Overlay { at: u64, data: &'a [u8] },
 }
 
-/// Rewrite a window of the segment S the finished descent `path`
-/// points at: from byte `l0` of S (the bytes before it stay as L)
-/// through the end of the page holding byte `last` (the pages after it
-/// stay as R). `seam` is an object offset inside S, where the tree is
-/// repaired if the Adaptive-T group reallocation left the leaf parent
-/// under half full.
-pub(crate) fn run(
-    store: &mut ObjectStore,
-    obj: &mut LargeObject,
-    mut path: Vec<PathStep>,
+/// A reshuffled L/N/R trio for one window of a segment S, before any
+/// I/O: what [`execute`] will read, write and free.
+#[derive(Clone, Copy)]
+pub(crate) struct Plan {
+    /// The segment S being rewritten.
+    s: Entry,
+    /// First byte of the window in S (the bytes before it are L).
+    l0: u64,
+    /// First byte of R: the page boundary after the window.
+    r_start: u64,
+    /// The effective threshold the trio was reshuffled under.
+    t: u64,
+    plan: ReshufflePlan,
+}
+
+impl Plan {
+    /// Pages the new segment(s) N will occupy — the rewrite's device
+    /// cost in data pages.
+    pub(crate) fn new_pages(&self, ps: u64) -> u64 {
+        self.plan.n.div_ceil(ps)
+    }
+}
+
+/// Plan the rewrite of a window of the segment S the finished descent
+/// `path` points at: from byte `l0` of S (the bytes before it stay as
+/// L) through the end of the page holding byte `last` (the pages after
+/// it stay as R).
+pub(crate) fn plan(
+    store: &ObjectStore,
+    obj: &LargeObject,
+    path: &[PathStep],
     l0: u64,
     last: u64,
     fill: Fill<'_>,
-    seam: u64,
-) -> Result<()> {
+) -> Result<Plan> {
     let ps = store.ps();
-    let (s, parent_fill) = {
-        let step = path.last().ok_or_else(|| corrupt("empty descent path"))?;
-        let s = step
-            .node
-            .entries
-            .get(step.child)
-            .copied()
-            .ok_or_else(|| corrupt("descent path points past its node"))?;
-        (s, step.node.entries.len())
-    };
+    let step = path.last().ok_or_else(|| corrupt("empty descent path"))?;
+    let s = step
+        .node
+        .entries
+        .get(step.child)
+        .copied()
+        .ok_or_else(|| corrupt("descent path points past its node"))?;
     if l0 > last || last >= s.bytes {
         return Err(corrupt("rewrite window outside its segment"));
     }
@@ -72,9 +90,51 @@ pub(crate) fn run(
         Fill::Splice(data) => r_start - l0 + data.len() as u64,
         Fill::Overlay { .. } => r_start - l0,
     };
-
-    let t = store.effective_threshold(obj, parent_fill);
+    let t = store.effective_threshold(obj, step.node.entries.len());
     let plan = reshuffle(l0, n0, r0, ps, t, store.max_seg_pages());
+    Ok(Plan {
+        s,
+        l0,
+        r_start,
+        t,
+        plan,
+    })
+}
+
+/// Plan and execute the rewrite of one window ([`plan`], [`execute`]).
+pub(crate) fn run(
+    store: &mut ObjectStore,
+    obj: &mut LargeObject,
+    path: Vec<PathStep>,
+    l0: u64,
+    last: u64,
+    fill: Fill<'_>,
+    seam: u64,
+) -> Result<()> {
+    let planned = plan(store, obj, &path, l0, last, fill)?;
+    execute(store, obj, path, planned, fill, seam)
+}
+
+/// Execute a [`plan`]: build and write N, free the pages of S between
+/// L′ and R′ and splice `[L′, N…, R′]` into the leaf parent. `seam` is
+/// an object offset inside S, where the tree is repaired if the
+/// Adaptive-T group reallocation left the leaf parent under half full.
+pub(crate) fn execute(
+    store: &mut ObjectStore,
+    obj: &mut LargeObject,
+    mut path: Vec<PathStep>,
+    planned: Plan,
+    fill: Fill<'_>,
+    seam: u64,
+) -> Result<()> {
+    let ps = store.ps();
+    let Plan {
+        s,
+        l0,
+        r_start,
+        t,
+        plan,
+    } = planned;
     store.note_reshuffle(t, &plan);
 
     // Read the planned source range of S — L's donated tail, the
@@ -82,9 +142,7 @@ pub(crate) fn run(
     let lo = l0 - plan.from_l;
     let hi = r_start + plan.from_r;
     let lo_page = lo / ps;
-    let src = store
-        .volume()
-        .read_pages(s.ptr + lo_page, hi.div_ceil(ps) - lo_page)?;
+    let src = store.read_leaf(s.ptr + lo_page, hi.div_ceil(ps) - lo_page)?;
     let part = |a: u64, b: u64| {
         src.get((a - lo_page * ps) as usize..(b - lo_page * ps) as usize)
             .ok_or_else(|| corrupt("source range outside the read pages"))

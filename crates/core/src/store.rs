@@ -9,7 +9,7 @@ use eos_obs::{Metrics, MetricsSnapshot, OpKind};
 use eos_pager::{IoStats, PageId, SharedVolume};
 
 use crate::config::{StoreConfig, Threshold};
-use crate::durable::WalEntry;
+use crate::durable::{Redo, WalEntry};
 use crate::error::{Error, Result};
 use crate::locks::TxnId;
 use crate::node::{node_capacity, Node};
@@ -58,6 +58,25 @@ pub struct ObjectStore {
     /// store's own operation spans — onto a shared one (the CLI uses
     /// [`eos_obs::global()`]).
     pub(crate) obs: Metrics,
+    /// Before-images of pages overwritten in place while older reader
+    /// pins were live (DESIGN.md §14): page → `(publication epoch,
+    /// page bytes)`, epochs ascending. A read pinned at epoch `p` sees
+    /// the earliest image newer than `p`; the reclaim that drops the
+    /// commit's parked frees drops its images too.
+    overlay: BTreeMap<PageId, Vec<(u64, Vec<u8>)>>,
+}
+
+/// Whose version of a leaf page a read sees (DESIGN.md §12).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum View {
+    /// The volume as it is: committed state plus every issued write.
+    Disk,
+    /// The volume patched with a scope's stashed in-place writes — what
+    /// every read inside the scope sees (read-your-writes).
+    Scope(TxnId),
+    /// The volume patched with the overlay's before-images, as a reader
+    /// pinned at this publication epoch must see it.
+    AsOf(u64),
 }
 
 /// Book-keeping for an open transaction scope (§4.5): frees are
@@ -68,8 +87,26 @@ pub struct ObjectStore {
 struct TxnState {
     batch: FreeBatch,
     allocs: Vec<Extent>,
+    /// Extents freed into `batch`, for the commit frame's freed list.
+    freed: Vec<Extent>,
     touched: BTreeMap<u64, Vec<u8>>,
     deleted: Vec<u64>,
+    /// Leaf pages the scope overwrites in place (§4.2), held back until
+    /// the commit frame carrying their redo is durable (no-steal).
+    stash: BTreeMap<PageId, Stashed>,
+}
+
+/// One stashed in-place page write.
+pub(crate) struct Stashed {
+    /// The object the page belongs to (routes its redo to a stripe).
+    object: u64,
+    /// The whole page as the scope leaves it.
+    after: Vec<u8>,
+    /// The committed page, when the scope had to read it anyway.
+    before: Option<Vec<u8>>,
+    /// The byte range of the page the scope changed.
+    lo: usize,
+    hi: usize,
 }
 
 /// The outcome of [`ObjectStore::prepare_commit`]: everything the
@@ -90,6 +127,21 @@ pub struct PreparedCommit {
     /// whose force ([`StripedWal::sync_stripes`]) makes it durable.
     /// Empty when nothing was appended.
     pub stripes: Vec<usize>,
+    /// The committed scope.
+    pub txn: TxnId,
+    /// The stashed pages to write in place once the record is durable.
+    pub(crate) in_place: Vec<(PageId, Stashed)>,
+    /// The committed root (`None`: absent) of every object the record
+    /// touches or deletes, as the log held it before the append — what
+    /// [`ObjectStore::fail_commit_force`] restores.
+    prior: Vec<(u64, Option<Vec<u8>>)>,
+}
+
+impl PreparedCommit {
+    /// The pages the commit writes in place.
+    pub(crate) fn in_place_pages(&self) -> Vec<PageId> {
+        self.in_place.iter().map(|&(page, _)| page).collect()
+    }
 }
 
 impl ObjectStore {
@@ -121,6 +173,7 @@ impl ObjectStore {
         let boot = buddy.space(0).data_base();
         buddy.allocate_at(boot, 1)?;
         buddy.set_metrics(&obs);
+        register_instruments(&obs);
         Ok(ObjectStore {
             volume,
             buddy,
@@ -132,6 +185,7 @@ impl ObjectStore {
             wal: None,
             affinity: 0,
             obs,
+            overlay: BTreeMap::new(),
         })
     }
 
@@ -149,6 +203,7 @@ impl ObjectStore {
         let mut buddy = BuddyManager::open(volume.clone(), num_spaces, pages_per_space)?;
         let obs = Metrics::new();
         buddy.set_metrics(&obs);
+        register_instruments(&obs);
         Ok(ObjectStore {
             volume,
             buddy,
@@ -160,6 +215,7 @@ impl ObjectStore {
             wal: None,
             affinity: 0,
             obs,
+            overlay: BTreeMap::new(),
         })
     }
 
@@ -274,6 +330,7 @@ impl ObjectStore {
         if let Some(wal) = &self.wal {
             wal.set_metrics(metrics);
         }
+        register_instruments(metrics);
         self.obs = metrics.clone();
     }
 
@@ -329,9 +386,10 @@ impl ObjectStore {
                 reason: format!("boot record of {} bytes exceeds one page", data.len()),
             });
         }
-        let mut page = vec![0u8; ps];
-        page[0..4].copy_from_slice(&(data.len() as u32).to_le_bytes());
-        page[4..4 + data.len()].copy_from_slice(data);
+        let mut page = Vec::with_capacity(ps);
+        page.extend_from_slice(&(data.len() as u32).to_le_bytes());
+        page.extend_from_slice(data);
+        page.resize(ps, 0);
         self.volume.write_pages(self.boot_page(), &page)?;
         Ok(())
     }
@@ -340,13 +398,12 @@ impl ObjectStore {
     /// (empty if none was ever written).
     pub fn read_boot_record(&self) -> Result<Vec<u8>> {
         let page = self.volume.read_pages(self.boot_page(), 1)?;
-        let len = u32::from_le_bytes(page[0..4].try_into().unwrap()) as usize;
-        if len + 4 > page.len() {
-            return Err(Error::CorruptObject {
+        let len = crate::codec::u32_at(&page, 0, "boot record length")? as usize;
+        page.get(4..4 + len)
+            .map(<[u8]>::to_vec)
+            .ok_or_else(|| Error::CorruptObject {
                 reason: "boot record length exceeds the page".into(),
-            });
-        }
-        Ok(page[4..4 + len].to_vec())
+            })
     }
 
     /// The fixed volume page of the boot record: data page 0 of buddy
@@ -367,8 +424,9 @@ impl ObjectStore {
     ///
     /// so the committed tree image stays fully intact on disk: a crash
     /// that loses the in-flight descriptor loses no committed data.
-    /// `replace` is the exception — it writes leaf pages in place and
-    /// must be protected with [`crate::wal::Wal::logged_replace`].
+    /// On a durable store `replace` writes leaf pages in place, but
+    /// only at commit, after the commit frame carrying its redo is
+    /// durable; until then its pages wait in the scope's stash.
     ///
     /// # Panics
     /// If a transaction scope is already open (single-writer facade;
@@ -393,8 +451,10 @@ impl ObjectStore {
             TxnState {
                 batch: self.buddy.begin_free_batch(),
                 allocs: Vec::new(),
+                freed: Vec::new(),
                 touched: BTreeMap::new(),
                 deleted: Vec::new(),
+                stash: BTreeMap::new(),
             },
         );
         id
@@ -417,19 +477,18 @@ impl ObjectStore {
         self.txns.contains_key(&id)
     }
 
-    /// Has the scope done anything a durable commit must sync — touched
-    /// or deleted objects, allocations, or pending log entries?
+    /// Does a durable commit of the scope need the data-before-log
+    /// barrier — did it allocate (and so write) any fresh page? A
+    /// replace-only scope allocates nothing: its in-place writes follow
+    /// the commit frame, so its commit costs the log force alone.
     pub fn scope_dirty(&self, id: TxnId) -> bool {
-        self.txns
-            .get(&id)
-            .is_some_and(|t| !t.touched.is_empty() || !t.deleted.is_empty() || !t.allocs.is_empty())
-            || self.wal.as_ref().is_some_and(|w| w.has_pending_for(id))
+        self.txns.get(&id).is_some_and(|t| !t.allocs.is_empty())
     }
 
     /// The group-commit lane a scope's force belongs on: the home
-    /// stripe of the lowest-id object it touched or deleted (0 for a
-    /// scope with nothing to publish). Scopes on different lanes
-    /// batch — and force — independently.
+    /// stripe of the lowest-id object it touched, deleted or wrote in
+    /// place (0 for a scope with nothing to publish). Scopes on
+    /// different lanes batch — and force — independently.
     pub fn scope_group_stripe(&self, id: TxnId) -> usize {
         let Some(wal) = &self.wal else { return 0 };
         self.txns.get(&id).map_or(0, |t| {
@@ -437,6 +496,7 @@ impl ObjectStore {
                 .keys()
                 .copied()
                 .chain(t.deleted.iter().copied())
+                .chain(t.stash.values().map(|s| s.object))
                 .map(|o| wal.stripe_of(o))
                 .min()
                 .unwrap_or(0)
@@ -448,76 +508,181 @@ impl ObjectStore {
         self.txns.get_mut(&id)
     }
 
-    /// Commit the open scope: apply every deferred free. On a durable
-    /// store the **commit point** comes first — the volume is synced so
-    /// every shadowed page the scope wrote is durable (the
-    /// data-before-log barrier: the commit record must never point at
-    /// pages the OS could still be holding back), then a
-    /// [`WalEntry::Commit`] record carrying the new root of every
-    /// touched object is appended to the on-disk log and forced to
-    /// stable storage; only then are the deferred frees applied. Both
-    /// barriers are gated on [`StoreConfig::sync_on_commit`]. A crash
-    /// on either side of that append recovers cleanly: before it, the
-    /// transaction never happened; after it, restart recovery rebuilds
-    /// the allocator state from the committed roots.
+    /// Commit the open scope. On a durable store the **commit point**
+    /// comes first: if the scope wrote fresh pages the volume is synced
+    /// so they are durable (the data-before-log barrier: the commit
+    /// record must never point at pages the OS could still be holding
+    /// back), then a [`WalEntry::Commit`] record carrying the new root
+    /// of every touched object and the redo of every in-place write is
+    /// appended to the on-disk log and forced to stable storage; only
+    /// then are the stashed pages written in place and the deferred
+    /// frees applied. Both barriers are gated on
+    /// [`StoreConfig::sync_on_commit`]. A crash on either side of that
+    /// append recovers cleanly: before it, the transaction never
+    /// happened; after it, restart recovery rebuilds the allocator
+    /// state from the committed roots and replays the redo.
     /// On a non-durable store the caller makes the new descriptor
     /// durable (that write is the commit point, since the root is
     /// client-placed).
     ///
     /// If the commit append itself fails the scope is rolled back
-    /// cleanly — before-images restored, allocations returned, deferred
-    /// frees dropped, an Abort record closing the scope in the log —
-    /// and the error returned; the volume stays structurally clean (the
+    /// cleanly — stash dropped, allocations returned, deferred frees
+    /// dropped, an Abort record closing the scope in the log — and the
+    /// error returned; the volume stays structurally clean (the
     /// log-full-during-commit tests drive this path).
     pub fn commit_txn(&mut self) -> Result<()> {
         // Commit I/O (log frames, the data-before-log syncs, the
-        // deferred frees) is attributed to `wal.commit`, not to the
-        // operation that happened to trigger an autocommit — span
-        // nesting subtracts it from the enclosing op automatically.
+        // in-place writes, the deferred frees) is attributed to
+        // `wal.commit`, not to the operation that happened to trigger
+        // an autocommit — span nesting subtracts it from the enclosing
+        // op automatically.
         let _span = self.obs.span(OpKind::WalCommit, &self.volume);
-        let id = self.active.take().expect("no open transaction");
+        let id = self.active.take().ok_or(Error::StaleTransaction)?;
         self.commit_scope(id)
     }
 
-    /// Commit one scope end to end: the data-before-log barrier, the
-    /// commit-record append, the log force, then the deferred frees.
-    /// The group-commit leader instead calls the three phases
-    /// ([`Self::prepare_commit`], its own single log force,
-    /// [`Self::apply_commit`]) so one fsync covers a whole batch.
+    /// Commit one scope end to end: the data-before-log barrier (only
+    /// if the scope allocated), the commit-record append, the log
+    /// force, then [`Self::finish_commit`]. A group-commit leader
+    /// instead runs the phases itself ([`Self::prepare_commit`] per
+    /// scope, one log force, then the finish per scope) so one fsync
+    /// covers a whole batch.
     pub fn commit_scope(&mut self, id: TxnId) -> Result<()> {
-        let prep = self.prepare_commit(id, true)?;
+        let dirty = self.scope_dirty(id);
+        let prep = self.prepare_commit(id, dirty)?;
+        match self.force_commit(&prep) {
+            Ok(()) => self.finish_commit(prep),
+            Err(e) => {
+                self.fail_commit_force(&prep, &format!("log force failed: {e}"));
+                Err(e)
+            }
+        }
+    }
+
+    /// The log force of a prepared commit — only the stripes carrying
+    /// a part of its record: the record is durable past here. A
+    /// function of its own so that, in [`Self::commit_scope`], the
+    /// compensating append of a failed force follows
+    /// [`Self::finish_commit`]: L6 replays a body in text order.
+    fn force_commit(&self, prep: &PreparedCommit) -> Result<()> {
         if prep.appended && self.config.sync_on_commit {
             if let Some(wal) = &self.wal {
-                // The log force — only the stripes carrying a part of
-                // this commit record: the record is durable past here.
                 // durability: seals(commit-frame)
                 wal.sync_stripes(&prep.stripes)?;
             }
         }
+        Ok(())
+    }
+
+    /// Settle a commit whose log force failed: its record was written
+    /// but may or may not be durable. The store reports the commit
+    /// failed, so it makes that outcome definite: it appends a
+    /// compensating commit that restores what the log held before —
+    /// the prior root or tombstone of every object the record touched
+    /// or deleted, and the committed bytes of every range it was to
+    /// write in place — and drops the record's deferred frees
+    /// unapplied (leaked pages come back at restart). Recovery replays
+    /// the pair in LSN order, and any later force makes the
+    /// compensation durable along with the record, so a later commit
+    /// of the same objects or pages can never be overwritten by the
+    /// failed one's roots or redo — nor can a checkpoint carry that
+    /// redo, which was never written in place. If the compensation
+    /// cannot be appended, the log fails until reopen.
+    pub(crate) fn fail_commit_force(&mut self, prep: &PreparedCommit, reason: &str) {
+        self.buddy.abort_frees(prep.batch);
+        let Some(wal) = self.wal.clone() else { return };
+        if !prep.appended {
+            return;
+        }
+        if let Err(e) = self.void_commit(&wal, prep) {
+            wal.fail(&format!("{reason}; voiding the commit failed: {e}"));
+        }
+    }
+
+    /// Append the compensating commit of [`Self::fail_commit_force`]
+    /// and retire the redo of both records: the pages already hold the
+    /// bytes the pair leaves them with.
+    fn void_commit(&mut self, wal: &StripedWal, prep: &PreparedCommit) -> Result<()> {
+        let mut redo = Vec::with_capacity(prep.in_place.len());
+        for (page, s) in &prep.in_place {
+            let before = match &s.before {
+                Some(before) => before.clone(),
+                None => self.volume.read_pages(*page, 1)?,
+            };
+            let bytes = before.get(s.lo..s.hi).ok_or_else(|| Error::CorruptObject {
+                reason: format!("stashed range [{}, {}) outside page {page}", s.lo, s.hi),
+            })?;
+            let r = Redo {
+                page: *page,
+                offset: s.lo as u32,
+                bytes: bytes.to_vec(),
+            };
+            redo.push((s.object, r));
+        }
+        let mut touched = Vec::new();
+        let mut deleted = Vec::new();
+        for (id, root) in &prep.prior {
+            match root {
+                Some(root) => touched.push((*id, root.clone())),
+                None => deleted.push(*id),
+            }
+        }
+        let txn = self.next_txn;
+        self.next_txn += 1;
+        let lsn = wal.allocate_lsn();
+        // Publishes only roots and bytes the log already holds as
+        // committed: no fresh page needs a data barrier first.
+        // durability: mutates(commit-frame)
+        let stripes = wal.append_commit(txn, lsn, touched, deleted, redo, &[])?; // lint: allow(durability, reason = "a compensating commit publishes only state already committed")
+        wal.mark_applied(prep.txn, &prep.stripes);
+        wal.mark_applied(txn, &stripes);
+        Ok(())
+    }
+
+    /// Phases 2 and 3 of a commit whose record is durable, for a store
+    /// with no pinned readers to protect: write the stashed pages in
+    /// place, then apply the deferred frees.
+    // durability: requires(commit-frame)
+    pub fn finish_commit(&mut self, mut prep: PreparedCommit) -> Result<()> {
+        self.write_in_place(&mut prep, None)?;
         self.apply_commit(prep.batch)
     }
 
     /// Phase 1 of a commit: close the scope's book-keeping and append
     /// (without forcing) its [`WalEntry::Commit`] record. Returns the
-    /// [`PreparedCommit`] the caller finishes with: the deferred-free
-    /// batch to apply once the record is durable, whether a record was
-    /// appended at all (read-only scopes skip the log entirely), and
-    /// the touched-root/tombstone sets the MVCC front-end publishes to
+    /// [`PreparedCommit`] the caller finishes with: the stashed pages
+    /// to write in place and the deferred-free batch to apply once the
+    /// record is durable, whether a record was appended at all
+    /// (read-only scopes skip the log entirely), and the
+    /// touched-root/tombstone sets the MVCC front-end publishes to
     /// lock-free readers. With `data_barrier` the volume is synced
     /// before the append, so the record never points at shadowed pages
     /// the OS could still be holding back; the group-commit leader
     /// passes `false` after issuing one barrier for the whole batch.
     ///
     /// On any error (most importantly [`Error::LogFull`]) the scope is
-    /// **fully aborted** — before-images restored, allocations
-    /// returned, deferred frees dropped, an Abort record appended —
-    /// so a failed commit can never leave the store half-applied.
+    /// **fully aborted** — stash dropped, allocations returned,
+    /// deferred frees dropped, an Abort record appended — so a failed
+    /// commit can never leave the store half-applied.
     pub fn prepare_commit(&mut self, id: TxnId, data_barrier: bool) -> Result<PreparedCommit> {
-        let txn = self.txns.remove(&id).ok_or(Error::StaleTransaction)?;
+        let mut txn = self.txns.remove(&id).ok_or(Error::StaleTransaction)?;
         if self.active == Some(id) {
             self.active = None;
         }
         let batch = txn.batch;
+        let in_place: Vec<(PageId, Stashed)> = std::mem::take(&mut txn.stash).into_iter().collect();
+        let redo: Vec<(u64, Redo)> = in_place
+            .iter()
+            .map(|(page, s)| {
+                let bytes = s.after.get(s.lo..s.hi).map(<[u8]>::to_vec);
+                let redo = Redo {
+                    page: *page,
+                    offset: s.lo as u32,
+                    bytes: bytes.unwrap_or_default(),
+                };
+                (s.object, redo)
+            })
+            .collect();
         let Some(wal) = self.wal.clone() else {
             return Ok(PreparedCommit {
                 batch,
@@ -525,10 +690,15 @@ impl ObjectStore {
                 touched: txn.touched,
                 deleted: txn.deleted,
                 stripes: Vec::new(),
+                txn: id,
+                in_place,
+                prior: Vec::new(),
             });
         };
-        let worth_logging =
-            !txn.touched.is_empty() || !txn.deleted.is_empty() || wal.has_pending_for(id);
+        let worth_logging = !txn.touched.is_empty()
+            || !txn.deleted.is_empty()
+            || !in_place.is_empty()
+            || wal.has_pending_for(id);
         if !worth_logging {
             return Ok(PreparedCommit {
                 batch,
@@ -536,6 +706,9 @@ impl ObjectStore {
                 touched: txn.touched,
                 deleted: txn.deleted,
                 stripes: Vec::new(),
+                txn: id,
+                in_place,
+                prior: Vec::new(),
             });
         }
         // A fresh LSN for the commit point itself: strictly ordered
@@ -544,6 +717,14 @@ impl ObjectStore {
         let lsn = wal.allocate_lsn();
         let touched: Vec<(u64, Vec<u8>)> =
             txn.touched.iter().map(|(k, v)| (*k, v.clone())).collect();
+        let freed: Vec<(PageId, u64)> = txn.freed.iter().map(|e| (e.start, e.pages)).collect();
+        let redo_bytes: u64 = redo.iter().map(|(_, r)| r.encoded_len()).sum();
+        let prior: Vec<(u64, Option<Vec<u8>>)> = txn
+            .touched
+            .keys()
+            .chain(&txn.deleted)
+            .map(|&id| (id, wal.committed_root(id)))
+            .collect();
         let sync = data_barrier && self.config.sync_on_commit;
         // Data-before-log: shadowed pages must be on disk before the
         // commit record that publishes them.
@@ -551,7 +732,7 @@ impl ObjectStore {
         let barrier = if sync { wal.sync() } else { Ok(()) };
         let appended = barrier.and_then(|()| {
             // durability: mutates(commit-frame)
-            wal.append_commit(id, lsn, touched, txn.deleted.clone())
+            wal.append_commit(id, lsn, touched, txn.deleted.clone(), redo, &freed)
         });
         match appended {
             Err(e) => {
@@ -562,14 +743,88 @@ impl ObjectStore {
                 let _ = self.abort_scope(id);
                 Err(e)
             }
-            Ok(stripes) => Ok(PreparedCommit {
-                batch,
-                appended: true,
-                touched: txn.touched,
-                deleted: txn.deleted,
-                stripes,
-            }),
+            Ok(stripes) => {
+                self.obs.counter("wal.redo_bytes").add(redo_bytes);
+                Ok(PreparedCommit {
+                    batch,
+                    appended: true,
+                    touched: txn.touched,
+                    deleted: txn.deleted,
+                    stripes,
+                    txn: id,
+                    in_place,
+                    prior,
+                })
+            }
         }
+    }
+
+    /// Phase 2 of a commit, once its record is durable: write the
+    /// stashed pages in place. With `park` — the commit's publication
+    /// epoch, when older reader pins are live — each page's before-image
+    /// is parked in the overlay under that epoch first, so those readers
+    /// keep their snapshot (DESIGN.md §14); the images a replace already
+    /// read are reused, the others are read here. Runs under the store
+    /// write latch, so no reader sees a page between the two.
+    ///
+    /// An I/O error part-way leaves a durable commit partly written, so
+    /// it fails the log until reopen: no later commit may build on the
+    /// pages it did not write, and restart recovery replays the whole
+    /// commit's redo.
+    // durability: requires(commit-frame)
+    pub(crate) fn write_in_place(
+        &mut self,
+        prep: &mut PreparedCommit,
+        park: Option<u64>,
+    ) -> Result<()> {
+        if prep.in_place.is_empty() {
+            return Ok(());
+        }
+        if let Err(e) = self.write_stashed(std::mem::take(&mut prep.in_place), park) {
+            if let Some(wal) = &self.wal {
+                wal.fail(&format!("in-place write of a durable commit failed: {e}"));
+            }
+            return Err(e);
+        }
+        if let Some(wal) = &self.wal {
+            wal.mark_applied(prep.txn, &prep.stripes);
+        }
+        Ok(())
+    }
+
+    /// The write loop of [`Self::write_in_place`].
+    // durability: requires(commit-frame)
+    fn write_stashed(&mut self, pages: Vec<(PageId, Stashed)>, park: Option<u64>) -> Result<()> {
+        for (page, s) in pages {
+            if let Some(epoch) = park {
+                let before = match s.before {
+                    Some(before) => before,
+                    None => self.volume.read_pages(page, 1)?,
+                };
+                self.overlay.entry(page).or_default().push((epoch, before));
+                self.obs.gauge("mvcc.overlay_pages").add(1);
+            }
+            // durability: mutates(committed-page)
+            self.volume.write_pages(page, &s.after)?;
+        }
+        Ok(())
+    }
+
+    /// Drop the before-images parked under publication `epoch` for
+    /// `pages` — called when the commit's parked frees are reclaimed.
+    pub(crate) fn drop_overlay(&mut self, epoch: u64, pages: &[PageId]) {
+        let mut dropped = 0u64;
+        for page in pages {
+            if let Some(images) = self.overlay.get_mut(page) {
+                let before = images.len();
+                images.retain(|(e, _)| *e != epoch);
+                dropped += (before - images.len()) as u64;
+                if images.is_empty() {
+                    self.overlay.remove(page);
+                }
+            }
+        }
+        self.obs.gauge("mvcc.overlay_pages").sub(dropped);
     }
 
     /// Phase 3 of a commit: apply the deferred frees. Only called once
@@ -584,24 +839,20 @@ impl ObjectStore {
         Ok(())
     }
 
-    /// Abort the open scope: drop the deferred frees (the logical frees
-    /// never happen) and return every page the scope allocated. The
-    /// caller goes back to its pre-transaction descriptor copy. On a
-    /// durable store the in-place writes of any logged `replace` are
-    /// first reversed from their before-images, the restores are synced
-    /// to stable storage, and only then does an [`WalEntry::Abort`]
-    /// record close the scope in the log — without that barrier the
-    /// Abort frame could persist ahead of the restores, and recovery
-    /// (trusting the Abort) would skip the undo. If the abort itself is
-    /// interrupted before the record lands, restart recovery simply
-    /// rolls the scope back again.
+    /// Abort the open scope: drop its stashed in-place writes and
+    /// deferred frees (neither ever reached the volume) and return
+    /// every page the scope allocated. The caller goes back to its
+    /// pre-transaction descriptor copy. On a durable store an
+    /// [`WalEntry::Abort`] record closes the scope in the log if it
+    /// logged anything; an abort writes no data page, so it needs no
+    /// barrier — if it is interrupted, restart recovery simply discards
+    /// the scope again.
     pub fn abort_txn(&mut self) -> Result<()> {
-        let id = self.active.take().expect("no open transaction");
+        let id = self.active.take().ok_or(Error::StaleTransaction)?;
         self.abort_scope(id)
     }
 
-    /// Abort one scope: restore the before-images of its uncommitted
-    /// in-place writes, drop its deferred frees, return its
+    /// Abort one scope: drop its stash and deferred frees, return its
     /// allocations, and close it in the log with a scope-stamped
     /// [`WalEntry::Abort`]. Other open scopes are untouched — their
     /// pending entries stay pending.
@@ -610,28 +861,15 @@ impl ObjectStore {
         if self.active == Some(id) {
             self.active = None;
         }
-        let restored_images = self.wal.as_ref().is_some_and(|w| {
-            w.pending_for(id)
-                .iter()
-                .any(|e| matches!(e, WalEntry::Op { page_images, .. } if !page_images.is_empty()))
-        });
-        if self.wal.is_some() {
-            self.rollback_scope_images(id)?;
-        }
         self.buddy.abort_frees(txn.batch);
         for e in txn.allocs {
             self.buddy.free(e.start, e.pages)?;
         }
         if let Some(wal) = &self.wal {
             if wal.has_pending_for(id) {
-                if restored_images && self.config.sync_on_commit {
-                    // Restores-before-Abort barrier.
-                    // durability: seals(shadow-data)
-                    wal.sync()?;
-                }
                 let lsn = wal.last_lsn();
-                // durability: mutates(commit-frame)
-                wal.append(WalEntry::Abort { txn: id, lsn })?;
+                // lint: allow(durability, reason = "an Abort frame publishes nothing: the scope's shadow pages stay unreferenced, so no data barrier must precede it")
+                wal.append(WalEntry::Abort { txn: id, lsn })?; // durability: mutates(commit-frame)
             }
         }
         Ok(())
@@ -680,41 +918,54 @@ impl ObjectStore {
 
     // ---- the §4 operations ----------------------------------------------
 
-    /// Read `len` bytes starting at byte `offset` (§4.2).
+    /// Read `len` bytes starting at byte `offset` (§4.2). Inside a
+    /// transaction scope the read sees the scope's own in-place writes.
     pub fn read(&self, obj: &LargeObject, offset: u64, len: u64) -> Result<Vec<u8>> {
-        let _span = self.obs.span(OpKind::Read, &self.volume);
-        ops::read::run(self, obj, offset, len)
+        self.read_in(self.view(), obj, offset, len)
     }
 
     /// Read the whole object.
     pub fn read_all(&self, obj: &LargeObject) -> Result<Vec<u8>> {
-        let _span = self.obs.span(OpKind::Read, &self.volume);
-        ops::read::run(self, obj, 0, obj.size())
+        self.read_in(self.view(), obj, 0, obj.size())
     }
 
-    /// Overwrite `data.len()` bytes in place starting at `offset`
-    /// (§4.2: "the search algorithm can also be used for the byte range
-    /// replace operation").
+    /// [`Self::read`] as `view` sees the leaf pages.
+    pub(crate) fn read_in(
+        &self,
+        view: View,
+        obj: &LargeObject,
+        offset: u64,
+        len: u64,
+    ) -> Result<Vec<u8>> {
+        let _span = self.obs.span(OpKind::Read, &self.volume);
+        ops::read::run(self, view, obj, offset, len)
+    }
+
+    /// Overwrite `data.len()` bytes starting at `offset` (§4.2: "the
+    /// search algorithm can also be used for the byte range replace
+    /// operation"). A volatile store writes the pages in place at once.
+    /// A durable store redo-logs the write and issues it only at
+    /// commit, after the commit frame — or, per touched segment, takes
+    /// the copy-on-write rewrite of [`Self::replace_shadow`] when that
+    /// writes fewer device bytes (DESIGN.md §7 item 8).
     pub fn replace(&mut self, obj: &mut LargeObject, offset: u64, data: &[u8]) -> Result<()> {
+        if self.wal.is_some() {
+            return self.staged_replace(obj, offset, data);
+        }
         let _span = self.obs.span(OpKind::Replace, &self.volume);
         self.set_affinity_for(obj.id());
-        if self.wal.is_some() {
-            return self.logged_replace(obj, offset, data);
-        }
         ops::replace::run(self, obj, offset, data)?;
         self.paranoid_check(obj)
     }
 
-    /// Overwrite bytes at `offset` **copy-on-write**: each touched
-    /// segment is split §4.4-style into pages kept in place (L and R)
-    /// and a new segment N on a fresh extent holding the touched pages,
-    /// plus whatever the threshold T makes L and R donate; the free of
-    /// the pages N supersedes is deferred behind the scope's release
-    /// lock. The committed image — and any MVCC reader snapshot pinned
-    /// on it — stays intact on disk until the scope commits and the
-    /// deferral is reclaimed. Byte-for-byte the same result as
-    /// [`Self::replace`]; the concurrent front-end uses this variant so
-    /// its lock-free readers never observe a half-applied overwrite.
+    /// Overwrite bytes at `offset` **copy-on-write**, whatever the
+    /// cost: each touched segment is split §4.4-style into pages kept in
+    /// place (L and R) and a new segment N on a fresh extent holding the
+    /// touched pages, plus whatever the threshold T makes L and R
+    /// donate; the free of the pages N supersedes is deferred behind
+    /// the scope's release lock. Byte-for-byte the same result as
+    /// [`Self::replace`], and the rewrite side of its per-segment cost
+    /// rule — the reference the rule is tested against.
     pub fn replace_shadow(
         &mut self,
         obj: &mut LargeObject,
@@ -723,11 +974,13 @@ impl ObjectStore {
     ) -> Result<()> {
         let _span = self.obs.span(OpKind::Replace, &self.volume);
         self.set_affinity_for(obj.id());
-        if self.wal.is_some() {
-            return self.logged_replace_shadow(obj, offset, data);
-        }
-        ops::replace::run_shadow(self, obj, offset, data)?;
-        self.paranoid_check(obj)
+        self.with_autocommit(|s| {
+            ops::replace::run_shadow(s, obj, offset, data)?;
+            if s.wal.is_some() {
+                s.log_touch(obj)?;
+            }
+            s.paranoid_check(obj)
+        })
     }
 
     /// Append bytes at the end of the object (§4.1).
@@ -900,18 +1153,115 @@ impl ObjectStore {
     }
 
     /// Free `pages` pages starting at `start` — deferred behind a
-    /// release lock while a transaction scope is open.
+    /// release lock while a transaction scope is open. A freed page's
+    /// stashed in-place write is dropped: the page leaves the object.
     pub(crate) fn free_pages(&mut self, start: PageId, pages: u64) -> Result<()> {
-        let batch = self
-            .active
-            .and_then(|id| self.txns.get(&id))
-            .map(|t| t.batch);
-        match batch {
-            Some(batch) => {
-                self.buddy.defer_free(batch, Extent { start, pages });
+        let extent = Extent { start, pages };
+        match self.active_txn_mut() {
+            Some(txn) => {
+                let batch = txn.batch;
+                txn.freed.push(extent);
+                let end = start.saturating_add(pages);
+                txn.stash.retain(|&p, _| p < start || p >= end);
+                self.buddy.defer_free(batch, extent);
             }
             None => self.buddy.free(start, pages)?,
         }
+        Ok(())
+    }
+
+    // ---- leaf-page views (DESIGN.md §12) --------------------------------
+
+    /// The view the next leaf read sees: the active scope's, else the
+    /// disk.
+    pub(crate) fn view(&self) -> View {
+        self.active.map_or(View::Disk, View::Scope)
+    }
+
+    /// Read `pages` leaf pages at `start` into `buf` as `view` sees
+    /// them. Every leaf read of the §4 operations goes through here, so
+    /// a scope reads its own stashed writes and a pinned reader the
+    /// before-images of pages overwritten since its pin.
+    pub(crate) fn read_leaf_into(
+        &self,
+        view: View,
+        start: PageId,
+        pages: u64,
+        buf: &mut [u8],
+    ) -> Result<()> {
+        self.volume.read_into(start, pages, buf)?;
+        let end = start.saturating_add(pages);
+        match view {
+            View::Disk => {}
+            View::Scope(id) => {
+                if let Some(txn) = self.txns.get(&id) {
+                    for (&page, s) in txn.stash.range(start..end) {
+                        patch_page(buf, page - start, &s.after)?;
+                    }
+                }
+            }
+            View::AsOf(pin) => {
+                for (&page, images) in self.overlay.range(start..end) {
+                    if let Some((_, image)) = images.iter().find(|(epoch, _)| *epoch > pin) {
+                        patch_page(buf, page - start, image)?;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Read `pages` leaf pages at `start` as the active scope sees them.
+    pub(crate) fn read_leaf(&self, start: PageId, pages: u64) -> Result<Vec<u8>> {
+        let mut buf = vec![0u8; pages as usize * self.page_size()];
+        self.read_leaf_into(self.view(), start, pages, &mut buf)?;
+        Ok(buf)
+    }
+
+    /// Write `bytes` at byte `at` of leaf page `page` of `object` into
+    /// the active scope's stash (§4.2, no-steal): nothing reaches the
+    /// volume before the commit frame carrying the redo is durable
+    /// ([`Self::write_in_place`]). `read` says the page keeps bytes
+    /// outside the range: on its first write it is then read once and
+    /// kept as the before-image too.
+    pub(crate) fn stash_write(
+        &mut self,
+        object: u64,
+        page: PageId,
+        at: u64,
+        bytes: &[u8],
+        read: bool,
+    ) -> Result<()> {
+        let id = self.active.ok_or(Error::StaleTransaction)?;
+        let fresh = !self
+            .txns
+            .get(&id)
+            .ok_or(Error::StaleTransaction)?
+            .stash
+            .contains_key(&page);
+        let before = if fresh && read {
+            Some(self.read_leaf(page, 1)?)
+        } else {
+            None
+        };
+        let ps = self.page_size();
+        let txn = self.txns.get_mut(&id).ok_or(Error::StaleTransaction)?;
+        let (lo, hi) = (at as usize, at as usize + bytes.len());
+        let s = txn.stash.entry(page).or_insert_with(|| Stashed {
+            object,
+            after: before.clone().unwrap_or_else(|| vec![0u8; ps]),
+            before,
+            lo,
+            hi,
+        });
+        s.after
+            .get_mut(lo..hi)
+            .ok_or_else(|| Error::CorruptObject {
+                reason: format!("in-place write [{lo}, {hi}) outside its page"),
+            })?
+            .copy_from_slice(bytes);
+        s.lo = s.lo.min(lo);
+        s.hi = s.hi.max(hi);
         Ok(())
     }
 
@@ -947,4 +1297,25 @@ impl ObjectStore {
     pub(crate) fn free_node(&mut self, page: PageId) -> Result<()> {
         self.free_pages(page, 1)
     }
+}
+
+/// Register the store's own instruments up front, so a snapshot lists
+/// them (at zero) before the first in-place write: `wal.redo_bytes`,
+/// the redo record bytes commit frames carried, and
+/// `mvcc.overlay_pages`, the before-images currently parked for
+/// pinned readers.
+fn register_instruments(metrics: &Metrics) {
+    metrics.counter("wal.redo_bytes");
+    metrics.gauge("mvcc.overlay_pages");
+}
+
+/// Lay a one-page `image` over page `index` of a multi-page buffer.
+fn patch_page(buf: &mut [u8], index: u64, image: &[u8]) -> Result<()> {
+    let (at, len) = (index as usize * image.len(), buf.len());
+    buf.get_mut(at..at + image.len())
+        .ok_or_else(|| Error::CorruptObject {
+            reason: format!("page {index} outside a {len}-byte read"),
+        })?
+        .copy_from_slice(image);
+    Ok(())
 }

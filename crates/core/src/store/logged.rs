@@ -5,10 +5,12 @@
 //! per-operation scope ([`ObjectStore::with_autocommit`]) — and leaves
 //! a trail in the on-disk log:
 //!
-//! * **`replace`** follows the WAL rule: it writes leaf pages in place,
-//!   so the before-images of every page it will touch are made durable
-//!   *first* ([`WalEntry::Op`]), then the pages are overwritten. A
-//!   crash mid-replace is rolled back byte-exactly from the images.
+//! * **`replace`** is redo-logged and no-steal (§4.2): its in-place
+//!   page writes wait in the scope's stash, ride the commit record as
+//!   physical redo, and are issued only once that record is durable.
+//!   It logs nothing before the commit, so nothing needs undoing. Per
+//!   touched segment it may instead take the shadowed L/N/R rewrite,
+//!   when that writes fewer device bytes ([`ops::replace::run_logged`]).
 //! * **Everything else** (append, insert, delete, truncate, compaction)
 //!   is *shadowed* (§4.5): it writes only freshly allocated pages and
 //!   defers its frees, so the committed image on disk stays intact and
@@ -19,19 +21,18 @@
 //!
 //! The commit record ([`WalEntry::Commit`], written by
 //! [`ObjectStore::commit_txn`]) then carries the new serialized root of
-//! every touched object plus tombstones for deletions; it is the single
-//! durable commit point of the scope.
+//! every touched object, tombstones for deletions and the redo of every
+//! in-place write; it is the single durable commit point of the scope.
+
+use eos_obs::OpKind;
 
 use crate::durable::WalEntry;
 use crate::error::{Error, Result};
 use crate::locks::TxnId;
 use crate::object::LargeObject;
 use crate::ops;
-use crate::wal::{LogOp, LogRecord};
-use eos_pager::PageId;
 
 use super::ObjectStore;
-
 impl ObjectStore {
     /// Run `f` inside the caller's active transaction scope, or — on a
     /// durable store with no scope active — inside an implicit
@@ -83,7 +84,10 @@ impl ObjectStore {
     /// every shadowed operation.
     pub(crate) fn log_touch(&mut self, obj: &mut LargeObject) -> Result<()> {
         let scope = self.active_scope_id()?;
-        let wal = self.wal.as_ref().expect("log_touch on a non-durable store");
+        let wal = self.wal.as_ref().ok_or(Error::Unsupported {
+            op: "log_touch",
+            reason: "the store has no log".into(),
+        })?;
         let lsn = wal.allocate_lsn();
         obj.lsn = lsn;
         let entry = WalEntry::Touch {
@@ -97,134 +101,28 @@ impl ObjectStore {
         Ok(())
     }
 
-    /// The physical image of every page `replace(obj, offset, len)`
-    /// will overwrite, grouped exactly as [`ops::replace`] groups its
-    /// writes: one `(first_page, bytes)` run per touched leaf segment.
-    pub(crate) fn range_page_images(
-        &self,
-        obj: &LargeObject,
-        offset: u64,
-        len: u64,
-    ) -> Result<Vec<(PageId, Vec<u8>)>> {
-        let mut out = Vec::new();
-        if len == 0 {
-            return Ok(out);
-        }
-        let ps = self.ps();
-        let (mut path, mut rel) = crate::tree::descend(self, obj, offset)?;
-        let mut remaining = len;
-        loop {
-            let e = crate::tree::leaf_entry(&path);
-            let take = (e.bytes - rel).min(remaining);
-            let p0 = rel / ps;
-            let p1 = (rel + take - 1) / ps;
-            let npages = p1 - p0 + 1;
-            out.push((e.ptr + p0, self.volume.read_pages(e.ptr + p0, npages)?));
-            remaining -= take;
-            if remaining == 0 {
-                return Ok(out);
-            }
-            ops::read::advance(self, &mut path)?;
-            rel = 0;
-        }
-    }
-
-    /// Reverse the in-place writes of one scope's uncommitted `replace`
-    /// operations, newest first, from the before-images in the log.
-    /// Images of other open scopes are left alone — they are rolled
-    /// back by their own abort (or by restart recovery).
-    pub(crate) fn rollback_scope_images(&mut self, id: TxnId) -> Result<()> {
-        let images: Vec<(PageId, Vec<u8>)> = self
-            .wal
-            .as_ref()
-            .map(|w| {
-                w.pending_for(id)
-                    .into_iter()
-                    .rev()
-                    .flat_map(|e| match e {
-                        WalEntry::Op { page_images, .. } => {
-                            page_images.into_iter().rev().collect::<Vec<_>>()
-                        }
-                        _ => Vec::new(),
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        for (page, bytes) in images {
-            // Restoring before-images re-creates pre-transaction state;
-            // like shadow writes, nothing committed depends on them
-            // until the Abort frame publishes the rollback.
-            // durability: mutates(shadow-data)
-            self.volume.write_pages(page, &bytes)?;
-        }
-        Ok(())
-    }
-
     // ---- the logged operations -------------------------------------------
 
-    pub(crate) fn logged_replace(
+    /// The no-steal replace (§4.2) of a durable store and of every
+    /// [`crate::Txn::replace`]: stash the in-place writes, or rewrite
+    /// the segments where that is cheaper ([`ops::replace::run_logged`]).
+    /// The stash reaches the volume only after the commit record, so
+    /// abort writes nothing, with or without a log. A stash-only
+    /// replace changes no root, so on a durable store it logs nothing
+    /// until its commit record carries the redo; a volatile store logs
+    /// and publishes no roots.
+    pub(crate) fn staged_replace(
         &mut self,
         obj: &mut LargeObject,
         offset: u64,
         data: &[u8],
     ) -> Result<()> {
+        let _span = self.obs.span(OpKind::Replace, &self.volume);
+        self.set_affinity_for(obj.id());
         self.with_autocommit(|s| {
-            // WAL rule: the undo information must be durable before the
-            // first in-place byte lands. The logical record's `before`
-            // field stays empty — the physical page images *are* the
-            // undo, and duplicating the bytes would double the record.
-            let images = s.range_page_images(obj, offset, data.len() as u64)?;
-            let scope = s.active_scope_id()?;
-            let wal = s.wal.as_ref().expect("durable store");
-            let lsn = wal.allocate_lsn();
-            obj.lsn = lsn;
-            let entry = WalEntry::Op {
-                txn: scope,
-                record: LogRecord {
-                    lsn,
-                    object: obj.id,
-                    op: LogOp::Replace {
-                        offset,
-                        before: Vec::new(),
-                        after: data.to_vec(),
-                    },
-                },
-                root_after: obj.to_bytes(),
-                page_images: images,
-            };
-            // durability: mutates(undo-image)
-            s.wal.as_ref().unwrap().append(entry)?;
-            if s.config.sync_on_commit {
-                // The append only hands the frame to the OS; the sync
-                // is what makes the undo images durable. Without it the
-                // page cache could persist the in-place overwrites
-                // below ahead of the log frame, and a power loss would
-                // leave committed bytes with no durable undo.
-                // durability: seals(undo-image)
-                s.wal.as_ref().unwrap().sync()?;
+            if ops::replace::run_logged(s, obj, offset, data)? && s.wal.is_some() {
+                s.log_touch(obj)?;
             }
-            // durability: mutates(committed-page)
-            ops::replace::run(s, obj, offset, data)?;
-            s.note_touched(obj);
-            s.paranoid_check(obj)
-        })
-    }
-
-    /// The durable side of [`ObjectStore::replace_shadow`]: because the
-    /// copy-on-write rewrite never overwrites committed pages, it needs
-    /// no before-images and no mid-operation log force — exactly like
-    /// insert/delete/append, a [`WalEntry::Touch`] stamping the new
-    /// root is the whole trail, and the commit record is the single
-    /// durable point.
-    pub(crate) fn logged_replace_shadow(
-        &mut self,
-        obj: &mut LargeObject,
-        offset: u64,
-        data: &[u8],
-    ) -> Result<()> {
-        self.with_autocommit(|s| {
-            ops::replace::run_shadow(s, obj, offset, data)?;
-            s.log_touch(obj)?;
             s.paranoid_check(obj)
         })
     }

@@ -9,12 +9,18 @@
 //! 1. **Scan** — [`StripedWal::attach`] replays each stripe's active
 //!    log half up to its torn tail, merges the stripes by LSN, settles
 //!    cross-stripe commits (all parts durable → committed, else
-//!    presumed aborted), and yields the committed root map and the
-//!    uncommitted pending tail.
-//! 2. **Undo** — the before-images of any uncommitted `replace` are
-//!    written back, newest first. Every other operation was shadowed,
-//!    so its effects live only on pages no committed root references —
-//!    ignoring them *is* the rollback.
+//!    presumed aborted), and yields the committed root map, the redo
+//!    of the committed in-place writes and the uncommitted pending
+//!    tail. Uncommitted work never reached a committed page — shadowed
+//!    operations wrote only pages no committed root references, and
+//!    in-place writes wait for their commit frame — so discarding the
+//!    tail *is* the rollback. A v4 log whose pending tail still holds
+//!    an undo-image entry is refused ([`Error::LegacyUndoLog`]).
+//! 2. **Redo** — one pass over the committed redo in log order: each
+//!    record is a read-modify-write of its page, which also repairs a
+//!    torn in-place write. A later commit's freed extent cancels the
+//!    earlier redo on its pages, which may since have been reallocated
+//!    and rewritten.
 //! 3. **Rebuild** — the buddy directories are reformatted in memory and
 //!    the allocation bitmap is reconstructed from scratch: the boot page
 //!    plus every page extent reachable from a committed root. Then each
@@ -24,14 +30,13 @@
 //!    superdirectory, directories last written at the previous
 //!    recovery — because none of that state is an input.
 //! 4. **Checkpoint** — the recovered map is written as a fresh
-//!    checkpoint, so a second crash during or right after recovery just
-//!    repeats it (recovery is idempotent and never writes a committed
-//!    page).
+//!    checkpoint, whose sync also makes the redo writes durable before
+//!    the log that carried them is dropped; a second crash during or
+//!    right after recovery just repeats it (recovery is idempotent).
 //!
-//! Redo needs no separate pass: the commit record itself carries the
-//! final root of every touched object, and shadowing guarantees the
-//! pages those roots point at were on disk before the commit record
-//! was.
+//! The roots need no redo: the commit record itself carries the final
+//! root of every touched object, and shadowing guarantees the pages
+//! those roots point at were on disk before the commit record was.
 
 use eos_buddy::BuddyManager;
 use eos_obs::{Metrics, OpKind, PipeKind};
@@ -40,7 +45,7 @@ use eos_pager::SharedVolume;
 use std::sync::Arc;
 
 use crate::config::StoreConfig;
-use crate::durable::WalEntry;
+use crate::durable::{Redo, RedoStep, WalEntry};
 use crate::error::{Error, Result};
 use crate::object::LargeObject;
 use crate::striped::StripedWal;
@@ -56,10 +61,13 @@ pub struct RecoveryReport {
     pub records_scanned: u64,
     /// Whether the scan cut a torn record off the tail of the log.
     pub torn_tail: bool,
-    /// Uncommitted operations rolled back (the pending tail).
+    /// Uncommitted operations discarded (the pending tail).
     pub rolled_back_ops: u64,
-    /// Pages restored from `replace` before-images during undo.
-    pub restored_pages: u64,
+    /// Redo records replayed onto their pages (each a read-modify-write
+    /// of one page).
+    pub redo_pages: u64,
+    /// Redo records dropped because a later commit freed their page.
+    pub redo_cancelled: u64,
     /// Highest LSN in the recovered log.
     pub max_lsn: u64,
 }
@@ -98,8 +106,8 @@ impl ObjectStore {
     /// committed object (the volume is self-describing; no descriptors
     /// need to have survived on the client side).
     ///
-    /// Recovery itself is crash-safe: it writes only uncommitted pages
-    /// (the undo images), each rebuilt directory once, and a fresh
+    /// Recovery itself is crash-safe: it writes only the committed
+    /// redo (idempotently), each rebuilt directory once, and a fresh
     /// checkpoint, so a failure part-way through is simply retried by
     /// the next open.
     pub fn open_durable(
@@ -131,26 +139,32 @@ impl ObjectStore {
         wal_pages: u64,
         metrics: &Metrics,
     ) -> Result<(ObjectStore, RecoveryReport)> {
-        // The whole restart sequence — log scan, undo writes, directory
+        // The whole restart sequence — log scan, redo writes, directory
         // rebuild, fresh checkpoint — is one `recovery` span.
         let _span = metrics.span(OpKind::Recovery, &volume);
         let base = (pages_per_space + 1) * num_spaces as u64;
         let wal = StripedWal::attach(&volume, base, wal_pages, config.wal_stripes)?;
-
-        // 2. Undo: reverse uncommitted in-place writes, newest first
-        // across all stripes (the merge is by global LSN).
-        let mut restored_pages = 0u64;
-        let ps = volume.page_size() as u64;
         let pending = wal.pending();
-        for entry in pending.iter().rev() {
-            if let WalEntry::Op { page_images, .. } = entry {
-                for (page, bytes) in page_images.iter().rev() {
-                    volume.write_pages(*page, bytes)?;
-                    restored_pages += bytes.len() as u64 / ps;
-                }
-            }
+        if let Some(txn) = pending.iter().find_map(|e| match e {
+            WalEntry::LegacyUndo { txn, .. } => Some(*txn),
+            _ => None,
+        }) {
+            return Err(Error::LegacyUndoLog { txn });
         }
         let rolled_back_ops = pending.len() as u64;
+
+        // 2. Redo, with cancellation by later frees.
+        let (redo, redo_cancelled) = live_redo(wal.redo_steps());
+        for r in &redo {
+            let mut page = volume.read_pages(r.page, 1)?;
+            let at = r.offset as usize;
+            page.get_mut(at..at + r.bytes.len())
+                .ok_or_else(|| Error::CorruptObject {
+                    reason: format!("redo record for page {} overruns the page", r.page),
+                })?
+                .copy_from_slice(&r.bytes);
+            volume.write_pages(r.page, &page)?;
+        }
 
         // Rehydrate the committed objects from their serialized roots.
         let committed = wal.committed();
@@ -192,7 +206,8 @@ impl ObjectStore {
             records_scanned: wal.records_scanned(),
             torn_tail: wal.torn_tail(),
             rolled_back_ops,
-            restored_pages,
+            redo_pages: redo.len() as u64,
+            redo_cancelled,
             max_lsn: wal.last_lsn(),
         };
         wal.clear_pending();
@@ -208,4 +223,23 @@ impl ObjectStore {
         }
         Ok((store, report))
     }
+}
+
+/// The redo records recovery replays, in log order: every committed
+/// write, minus those on a page a later step freed. Returns them and
+/// the number cancelled.
+fn live_redo(steps: Vec<(u64, RedoStep)>) -> (Vec<Redo>, u64) {
+    let mut live: Vec<Redo> = Vec::new();
+    let mut cancelled = 0u64;
+    for (_, step) in steps {
+        match step {
+            RedoStep::Write(r) => live.push(r),
+            RedoStep::Free(start, pages) => {
+                let before = live.len();
+                live.retain(|r| r.page < start || r.page - start >= pages);
+                cancelled += (before - live.len()) as u64;
+            }
+        }
+    }
+    (live, cancelled)
 }

@@ -47,14 +47,14 @@ impl Iterator for ObjectReader<'_> {
         let e = leaf_entry(path);
         let ps = self.store.ps();
         let pages = e.bytes.div_ceil(ps);
-        let out = match self.store.volume().read_pages(e.ptr, pages) {
+        let out = match self.store.read_leaf(e.ptr, pages) {
             Ok(mut buf) => {
                 buf.truncate(e.bytes as usize);
                 buf
             }
             Err(err) => {
                 self.path = None;
-                return Some(Err(err.into()));
+                return Some(Err(err));
             }
         };
         self.remaining -= e.bytes;
@@ -144,7 +144,7 @@ impl ObjectStore {
         let mut buffer: Vec<u8> = Vec::with_capacity(max_bytes);
         for &(bytes, ptr) in &old_segments {
             let pages = bytes.div_ceil(ps);
-            let mut buf = self.volume().read_pages(ptr, pages)?;
+            let mut buf = self.read_leaf(ptr, pages)?;
             buf.truncate(bytes as usize);
             let mut src = buf.as_slice();
             while !src.is_empty() {

@@ -27,8 +27,7 @@
 //! siblings are durable: live appends resolve the parts after the last
 //! one lands; a restart counts surviving parts per scope and resolves
 //! the scope only when all `participants` survived, else presumes abort
-//! (the surviving Op entries keep their before-images for the rollback
-//! pass). Because each *object* maps to exactly one stripe, its root
+//! (its redo is never replayed). Because each *object* maps to exactly one stripe, its root
 //! history lives on one stripe and the per-stripe `committed_lsn` guard
 //! keeps a late-resolved older part from clobbering a newer root.
 //!
@@ -43,10 +42,9 @@ use eos_obs::Metrics;
 use eos_pager::{PageId, SharedVolume};
 use parking_lot::{LockClass, TrackedMutex};
 
-use crate::durable::{DurableWal, WalEntry};
+use crate::durable::{DurableWal, Redo, RedoStep, WalEntry};
 use crate::error::{Error, Result};
 use crate::locks::TxnId;
-use crate::wal::LogRecord;
 
 /// N log stripes over one region, each an independent [`DurableWal`].
 /// All methods take `&self`: per-stripe state lives behind the stripe
@@ -117,8 +115,8 @@ impl StripedWal {
     /// settle the cross-stripe commits — a scope whose surviving parts
     /// number `participants` is resolved (its roots become committed on
     /// every part's stripe); any other count presumes abort and voids
-    /// the parts, leaving the scope's Op entries pending for the
-    /// caller's rollback pass.
+    /// the parts, leaving the scope's other entries pending for the
+    /// caller to discard.
     pub fn attach(
         volume: &SharedVolume,
         base: PageId,
@@ -161,9 +159,9 @@ impl StripedWal {
                 }
             }
         }
-        // Seed the scope index from what survived the scan: the entries
-        // recovery is about to roll back still need their Abort records
-        // routed to the right stripes.
+        // Seed the scope index from what survived the scan: the pending
+        // entries of a live scope still need their Abort records routed
+        // to the right stripes.
         let mut scopes: BTreeMap<TxnId, BTreeSet<usize>> = BTreeMap::new();
         for (r, stripe) in slices.iter().enumerate() {
             let w = stripe.lock();
@@ -208,13 +206,10 @@ impl StripedWal {
     /// to split them.
     pub fn append(&self, entry: WalEntry) -> Result<()> {
         match entry {
-            WalEntry::Op { ref record, .. } => {
-                let s = self.stripe_of(record.object);
-                if let Some(txn) = entry.txn() {
-                    self.note_scope(txn, s);
-                }
-                self.stripes[s].lock().append(entry)
-            }
+            WalEntry::LegacyUndo { .. } => Err(Error::Unsupported {
+                op: "wal append",
+                reason: "v4 undo-image entries are read-only".into(),
+            }),
             WalEntry::Touch { txn, object, .. } => {
                 let s = self.stripe_of(object);
                 self.note_scope(txn, s);
@@ -225,8 +220,15 @@ impl StripedWal {
                 lsn,
                 touched,
                 deleted,
+                redo,
+                freed,
                 ..
-            } => self.append_commit(txn, lsn, touched, deleted).map(|_| ()),
+            } => {
+                // Redo without an owning object routes to stripe 0.
+                let redo = redo.into_iter().map(|r| (0, r)).collect();
+                self.append_commit(txn, lsn, touched, deleted, redo, &freed)
+                    .map(|_| ())
+            }
             WalEntry::Abort { txn, lsn } => {
                 let homes = self.scopes.lock().remove(&txn).unwrap_or_default();
                 if homes.is_empty() {
@@ -246,16 +248,23 @@ impl StripedWal {
     /// Append a scope's commit point, split per stripe, and return the
     /// participating stripes (the set [`Self::sync_stripes`] must force
     /// before the commit is reported durable). Participants are every
-    /// stripe holding a root part *or* a pending entry of the scope;
-    /// for a single participant the part self-commits on append, for
-    /// several each part is held until all have landed, then resolved —
-    /// so a crash between the appends presumes abort on restart.
+    /// stripe holding a root part, a redo part *or* a pending entry of
+    /// the scope; for a single participant the part self-commits on
+    /// append, for several each part is held until all have landed,
+    /// then resolved — so a crash between the appends presumes abort on
+    /// restart. Redo is `(object id, record)`, routed to the object's
+    /// stripe; every part gets the `freed` extents, and each stripe
+    /// keeps only those overlapping its own redo (a page with redo is
+    /// freed by a scope touching the object that wrote it, whose stripe
+    /// therefore participates).
     pub fn append_commit(
         &self,
         txn: TxnId,
         lsn: u64,
         touched: Vec<(u64, Vec<u8>)>,
         deleted: Vec<u64>,
+        redo: Vec<(u64, Redo)>,
+        freed: &[(PageId, u64)],
     ) -> Result<Vec<usize>> {
         let n = self.stripes.len();
         let mut touched_parts: Vec<Vec<(u64, Vec<u8>)>> = vec![Vec::new(); n];
@@ -266,6 +275,10 @@ impl StripedWal {
         for id in deleted {
             deleted_parts[self.stripe_of(id)].push(id);
         }
+        let mut redo_parts: Vec<Vec<Redo>> = vec![Vec::new(); n];
+        for (id, r) in redo {
+            redo_parts[self.stripe_of(id)].push(r);
+        }
         // Participants come from the scope index, never from polling
         // the stripe latches: a poll would block behind every stripe
         // latch currently held across a force, re-serializing commits
@@ -273,7 +286,10 @@ impl StripedWal {
         let homes = self.scopes.lock().get(&txn).cloned().unwrap_or_default();
         let mut participating: Vec<usize> = (0..n)
             .filter(|&s| {
-                !touched_parts[s].is_empty() || !deleted_parts[s].is_empty() || homes.contains(&s)
+                !touched_parts[s].is_empty()
+                    || !deleted_parts[s].is_empty()
+                    || !redo_parts[s].is_empty()
+                    || homes.contains(&s)
             })
             .collect();
         if participating.is_empty() {
@@ -287,8 +303,16 @@ impl StripedWal {
                 participants,
                 touched: std::mem::take(&mut touched_parts[s]),
                 deleted: std::mem::take(&mut deleted_parts[s]),
+                redo: std::mem::take(&mut redo_parts[s]),
+                freed: freed.to_vec(),
             };
-            if let Err(e) = self.stripes[s].lock().append(entry) {
+            let appended = match self.stripes.get(s) {
+                Some(stripe) => stripe.lock().append(entry),
+                None => Err(Error::CorruptObject {
+                    reason: format!("commit part routed to missing stripe {s}"),
+                }),
+            };
+            if let Err(e) = appended {
                 // Void the parts already down: recovery would presume
                 // abort on the incomplete set anyway, and the in-memory
                 // view must agree with that verdict now.
@@ -354,8 +378,7 @@ impl StripedWal {
     }
 
     /// The uncommitted tail across all scopes and stripes, in global
-    /// LSN order — what a restart must roll back, newest first when
-    /// walked in reverse.
+    /// LSN order — what a restart discards.
     pub fn pending(&self) -> Vec<WalEntry> {
         let mut out: Vec<WalEntry> = Vec::new();
         for stripe in &self.stripes {
@@ -365,8 +388,9 @@ impl StripedWal {
         out
     }
 
-    /// Drop the uncommitted tail from the in-memory view of every
-    /// stripe (recovery calls this after rolling it back).
+    /// Drop the uncommitted tail and the unapplied redo from the
+    /// in-memory view of every stripe (recovery calls this after its
+    /// redo pass).
     pub(crate) fn clear_pending(&self) {
         for stripe in &self.stripes {
             stripe.lock().clear_pending();
@@ -391,15 +415,42 @@ impl StripedWal {
         out
     }
 
-    /// Every logical op record seen, merged across stripes in LSN
-    /// order — the view `eos-check` audits.
-    pub fn records(&self) -> Vec<LogRecord> {
-        let mut out: Vec<LogRecord> = Vec::new();
+    /// The committed root of `object` (`None`: never created, or
+    /// deleted), read from its home stripe.
+    pub(crate) fn committed_root(&self, object: u64) -> Option<Vec<u8>> {
+        let stripe = self.stripes.get(self.stripe_of(object))?;
+        stripe.lock().committed().get(&object).cloned()
+    }
+
+    /// The redo and freed-extent steps of every stripe's active half,
+    /// merged in global LSN order (steps of one commit keep their
+    /// order) — the input of recovery's redo pass.
+    pub(crate) fn redo_steps(&self) -> Vec<(u64, RedoStep)> {
+        let mut out: Vec<(u64, RedoStep)> = Vec::new();
         for stripe in &self.stripes {
-            out.extend(stripe.lock().records().iter().cloned());
+            out.extend(stripe.lock().redo_steps().iter().cloned());
         }
-        out.sort_by_key(|r| r.lsn);
+        out.sort_by_key(|(lsn, _)| *lsn);
         out
+    }
+
+    /// The in-place write of `txn`'s redo, logged on `stripes`, has
+    /// been issued: checkpoints stop carrying it.
+    pub(crate) fn mark_applied(&self, txn: TxnId, stripes: &[usize]) {
+        for &s in stripes {
+            if let Some(stripe) = self.stripes.get(s) {
+                stripe.lock().mark_applied(txn);
+            }
+        }
+    }
+
+    /// Fail every stripe until reopen ([`Error::LogFailed`]): a commit
+    /// whose outcome only restart recovery can settle must not be
+    /// followed by commits that build on the volume as it is.
+    pub(crate) fn fail(&self, reason: &str) {
+        for stripe in &self.stripes {
+            stripe.lock().fail(reason);
+        }
     }
 
     /// Highest object id mentioned anywhere in the log.
@@ -464,8 +515,15 @@ mod tests {
 
     fn commit_one(wal: &StripedWal, txn: TxnId, object: u64, tag: u8) -> Vec<usize> {
         let lsn = wal.allocate_lsn();
-        wal.append_commit(txn, lsn, vec![(object, vec![tag; 4])], Vec::new())
-            .unwrap()
+        wal.append_commit(
+            txn,
+            lsn,
+            vec![(object, vec![tag; 4])],
+            Vec::new(),
+            Vec::new(),
+            &[],
+        )
+        .unwrap()
     }
 
     #[test]
@@ -509,7 +567,14 @@ mod tests {
             let lsn = wal.allocate_lsn();
             // Objects 4 and 5 live on stripes 0 and 1: two parts.
             let stripes = wal
-                .append_commit(7, lsn, vec![(4, vec![1]), (5, vec![2])], Vec::new())
+                .append_commit(
+                    7,
+                    lsn,
+                    vec![(4, vec![1]), (5, vec![2])],
+                    Vec::new(),
+                    Vec::new(),
+                    &[],
+                )
                 .unwrap();
             assert_eq!(stripes, vec![0, 1]);
             assert_eq!(wal.committed().len(), 2);
@@ -539,13 +604,15 @@ mod tests {
                     participants: 2,
                     touched: vec![(4, vec![1])],
                     deleted: Vec::new(),
+                    redo: Vec::new(),
+                    freed: Vec::new(),
                 })
                 .unwrap();
             wal.sync().unwrap();
         }
         let wal = StripedWal::attach(&v, base, pages, 2).unwrap();
         // The lone part is void: nothing committed, nothing pending
-        // (the part carried no Op entries to roll back).
+        // (the part carried no other entries).
         assert!(wal.committed().is_empty());
         assert!(wal.pending().is_empty());
     }

@@ -223,7 +223,7 @@ const TAG_APPEND: u8 = 3; // format-anchor: WAL_TAG_APPEND
 /// (DESIGN.md §15). The lint cross-checks this against both the
 /// FORMAT.md anchor and the declared `// durability-class:` table, so
 /// adding a class forces all three to move together.
-pub const DURABILITY_CLASSES: usize = 6; // format-anchor: DURABILITY_CLASSES
+pub const DURABILITY_CLASSES: usize = 5; // format-anchor: DURABILITY_CLASSES
 
 pub(crate) fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     out.extend_from_slice(&(b.len() as u32).to_le_bytes());

@@ -4,7 +4,7 @@
 //! (`tests/crash_sweep.rs`); these tests cover the happy paths and the
 //! targeted failure modes of the durable WAL integration.
 
-use eos_core::{ObjectStore, StoreConfig};
+use eos_core::{ConcurrentStore, Error, ObjectStore, StoreConfig};
 use eos_pager::{DiskProfile, MemVolume, SharedVolume};
 
 const PAGE: usize = 512;
@@ -112,7 +112,7 @@ fn uncommitted_replace_rolls_back_on_reopen() {
     let base = pattern(4 * PAGE, 9);
     {
         let mut store = create(vol.clone());
-        let mut a = store.create_with(&base, None).unwrap();
+        let mut a = store.create_with(&base, Some(base.len() as u64)).unwrap();
         // Simulate a crash mid-transaction: mutate inside an explicit
         // scope and drop the store without committing.
         store.begin_txn();
@@ -121,8 +121,14 @@ fn uncommitted_replace_rolls_back_on_reopen() {
         // no commit — the store (and its in-memory state) just vanish
     }
     let (store, report) = reopen(vol);
-    assert_eq!(report.rolled_back_ops, 2);
-    assert!(report.restored_pages > 0, "replace images were restored");
+    // The append's Touch is the whole pending tail: the replace logged
+    // nothing before its commit, and its stashed pages never reached
+    // the volume, so there is nothing to undo and nothing to redo.
+    assert_eq!(report.rolled_back_ops, 1);
+    assert_eq!(
+        report.redo_pages, 0,
+        "an uncommitted replace leaves no redo"
+    );
     let a = &report.objects[0];
     assert_eq!(store.read_all(a).unwrap(), base, "back to committed state");
     store.buddy().check_invariants().unwrap();
@@ -182,7 +188,7 @@ fn reopen_is_idempotent() {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
-    Read { start: u64 },
+    Read { start: u64, pages: u64 },
     Write { start: u64, pages: u64 },
     Sync,
 }
@@ -213,7 +219,10 @@ impl eos_pager::Volume for EventVolume {
         self.inner.num_pages()
     }
     fn read_into(&self, start: u64, pages: u64, buf: &mut [u8]) -> eos_pager::Result<()> {
-        self.events.lock().unwrap().push(Event::Read { start });
+        self.events
+            .lock()
+            .unwrap()
+            .push(Event::Read { start, pages });
         self.inner.read_into(start, pages, buf)
     }
     fn write_pages(&self, start: u64, data: &[u8]) -> eos_pager::Result<()> {
@@ -245,80 +254,209 @@ fn is_data_write(e: &Event) -> bool {
     matches!(e, Event::Write { start, .. } if *start < WAL_BASE)
 }
 
-/// Index of the first sync strictly after `from`, if any.
-fn sync_after(events: &[Event], from: usize) -> Option<usize> {
-    events[from + 1..]
-        .iter()
-        .position(|e| *e == Event::Sync)
-        .map(|i| from + 1 + i)
+fn is_data_read(e: &Event) -> Option<u64> {
+    match e {
+        Event::Read { start, pages } if *start < WAL_BASE => Some(*pages),
+        _ => None,
+    }
 }
 
+/// The I/O shape of a durable 512 B `Txn::replace` commit: it
+/// allocates nothing, reads only its boundary pages, costs one sync
+/// (no data barrier: nothing fresh was written), and writes its data
+/// pages in place only after the commit frame is forced — no-steal
+/// redo, so the log needs no undo.
 #[test]
-fn replace_barriers_order_undo_data_and_commit() {
+fn replace_commit_is_one_sync_and_writes_after_the_commit_frame() {
     let recorder = EventVolume::new(fresh_volume());
     let vol: SharedVolume = recorder.clone();
-    let mut store = create(vol);
-    let mut a = store.create_with(&pattern(4 * PAGE, 1), None).unwrap();
+    let cs = ConcurrentStore::new(create(vol));
+    let setup = cs.begin();
+    let mut a = setup
+        .create(&pattern(8 * PAGE, 1), Some(8 * PAGE as u64))
+        .unwrap();
+    setup.commit().unwrap();
+    let extents = |obj: &eos_core::LargeObject| cs.with_store(|st| st.object_page_extents(obj));
+    let before = extents(&a);
     recorder.take();
 
-    store.replace(&mut a, 100, &pattern(900, 2)).unwrap();
+    let txn = cs.begin();
+    txn.replace(&mut a, 3 * PAGE as u64 - 100, &pattern(PAGE, 2))
+        .unwrap();
+    txn.commit().unwrap();
     let events = recorder.take();
 
-    // WAL rule: the Op frame (undo images) is written and *synced*
-    // before the first in-place data write.
-    let first_log = events.iter().position(is_log_write).expect("an Op frame");
-    let first_data = events
+    let committed = cs.snapshot().object(a.id()).unwrap();
+    assert_eq!(extents(&committed), before, "the replace moved pages");
+    let inside = |page: u64| before.iter().any(|&(s, n)| (s..s + n).contains(&page));
+    assert!(
+        events.iter().all(|e| match e {
+            Event::Write { start, pages } if *start < WAL_BASE =>
+                (*start..start + pages).all(inside),
+            _ => true,
+        }),
+        "the replace wrote outside the object's pages (an allocation): {events:?}"
+    );
+    let data_read: u64 = events.iter().filter_map(is_data_read).sum();
+    assert!(data_read <= 2, "read {data_read} data pages: {events:?}");
+    let syncs: Vec<usize> = (0..events.len())
+        .filter(|&i| events[i] == Event::Sync)
+        .collect();
+    assert_eq!(syncs.len(), 1, "one sync per replace commit: {events:?}");
+    let frame = events
         .iter()
-        .position(is_data_write)
-        .expect("in-place writes");
-    assert!(first_log < first_data, "undo frame precedes the overwrite");
-    let barrier = sync_after(&events, first_log).expect("a sync after the Op frame");
+        .rposition(is_log_write)
+        .expect("a commit frame");
     assert!(
-        barrier < first_data,
-        "undo images must be durable before the first in-place byte: {events:?}"
+        frame < syncs[0],
+        "the sync forces the commit frame: {events:?}"
     );
-
-    // Data-before-log: every data write is synced before the Commit
-    // frame (the last log write) lands.
-    let last_log = events.iter().rposition(is_log_write).unwrap();
-    let last_data = events.iter().rposition(is_data_write).unwrap();
-    assert!(last_data < last_log, "commit frame is the final frame");
-    let commit_barrier = sync_after(&events, last_data).expect("a sync after the data writes");
+    let data: Vec<usize> = (0..events.len())
+        .filter(|&i| is_data_write(&events[i]))
+        .collect();
+    assert!(!data.is_empty(), "the replace wrote in place: {events:?}");
     assert!(
-        commit_barrier < last_log,
-        "data pages must be durable before the commit frame: {events:?}"
+        data.iter().all(|&i| i > syncs[0]),
+        "data pages must follow the forced commit frame: {events:?}"
     );
-    assert_eq!(
-        events.last(),
-        Some(&Event::Sync),
-        "the commit frame itself is synced"
-    );
+    let mut model = pattern(8 * PAGE, 1);
+    model[3 * PAGE - 100..4 * PAGE - 100].copy_from_slice(&pattern(PAGE, 2));
+    assert_eq!(cs.snapshot().read_all(a.id()).unwrap(), model);
 }
 
+/// Abort writes no data page and issues no sync: the stashed in-place
+/// writes never reached the volume, so every data page is
+/// byte-identical to before the scope.
 #[test]
-fn abort_syncs_restores_before_the_abort_frame() {
+fn abort_writes_no_data_page() {
     let recorder = EventVolume::new(fresh_volume());
     let vol: SharedVolume = recorder.clone();
     let mut store = create(vol);
-    let mut a = store.create_with(&pattern(4 * PAGE, 1), None).unwrap();
+    let mut a = store
+        .create_with(&pattern(4 * PAGE, 1), Some(4 * PAGE as u64))
+        .unwrap();
+    let pre = a.clone();
+    let data_pages = |store: &ObjectStore| store.volume().read_pages(0, WAL_BASE).unwrap();
+    let before = data_pages(&store);
 
     store.begin_txn();
     store.replace(&mut a, 0, &pattern(700, 3)).unwrap();
+    store
+        .replace(&mut a, 3 * PAGE as u64, &pattern(100, 4))
+        .unwrap();
+    assert_eq!(
+        &store.read(&a, 0, 700).unwrap(),
+        &pattern(700, 3),
+        "the scope reads its own writes"
+    );
     recorder.take();
     store.abort_txn().unwrap();
     let events = recorder.take();
 
-    // The before-image restores (data writes) must be durable before
-    // the Abort frame — otherwise a crash can persist the Abort and
-    // recovery would skip the undo.
-    let last_data = events.iter().rposition(is_data_write).expect("restores");
-    let abort_frame = events.iter().rposition(is_log_write).expect("Abort frame");
-    assert!(last_data < abort_frame);
-    let barrier = sync_after(&events, last_data).expect("a sync after the restores");
     assert!(
-        barrier < abort_frame,
-        "restores must be durable before the Abort frame: {events:?}"
+        !events.iter().any(|e| is_data_write(e) || *e == Event::Sync),
+        "abort wrote data or synced: {events:?}"
     );
+    assert_eq!(data_pages(&store), before, "a data page changed");
+    assert_eq!(store.read_all(&pre).unwrap(), pattern(4 * PAGE, 1));
+}
+
+/// A torn in-place write — the commit frame durable, the page only
+/// half new — is repaired by recovery's redo: the bytes outside the
+/// replaced range are the same in the old and the new page.
+#[test]
+fn recovery_repairs_a_torn_in_place_page() {
+    let vol = fresh_volume();
+    let base = pattern(6 * PAGE, 5);
+    let patch = pattern(300, 6);
+    let at = 2 * PAGE + 100;
+    let page = {
+        let mut store = create(vol.clone());
+        let mut a = store.create_with(&base, Some(base.len() as u64)).unwrap();
+        let page = store.object_page_extents(&a)[0].0 + 2;
+        let old = vol.read_pages(page, 1).unwrap();
+        store.replace(&mut a, at as u64, &patch).unwrap();
+        let new = vol.read_pages(page, 1).unwrap();
+        assert_ne!(old, new, "the committed replace wrote in place");
+        // Power dies mid-write: only the first half of the page landed.
+        let mut torn = new[..PAGE / 2].to_vec();
+        torn.extend_from_slice(&old[PAGE / 2..]);
+        vol.write_pages(page, &torn).unwrap();
+        page
+    };
+    let (store, report) = reopen(vol.clone());
+    assert!(report.redo_pages >= 1, "the commit's redo was replayed");
+    let mut want = base;
+    want[at..at + patch.len()].copy_from_slice(&patch);
+    assert_eq!(store.read_all(&report.objects[0]).unwrap(), want);
+    assert_eq!(
+        vol.read_pages(page, 1).unwrap()[..],
+        want[2 * PAGE..3 * PAGE]
+    );
+}
+
+/// Redo cancellation: a page written in place, then freed by a later
+/// commit and reallocated to another object by a third, must not get
+/// the first commit's redo replayed over the new object's bytes.
+#[test]
+fn redo_is_cancelled_for_a_freed_and_reallocated_page() {
+    let vol = fresh_volume();
+    let b_bytes = pattern(4 * PAGE, 9);
+    {
+        let mut store = create(vol.clone());
+        let mut a = store
+            .create_with(&pattern(4 * PAGE, 7), Some(4 * PAGE as u64))
+            .unwrap();
+        let page = store.object_page_extents(&a)[0].0 + 1;
+        store
+            .replace(&mut a, PAGE as u64 + 10, &pattern(50, 8))
+            .unwrap();
+        store.delete_object(&mut a).unwrap();
+        // Object ids pick their home buddy space (`id % spaces`): skip
+        // id 2 so the new object lands in the space the page came from.
+        store.create_with(b"x", None).unwrap();
+        let b = store
+            .create_with(&b_bytes, Some(b_bytes.len() as u64))
+            .unwrap();
+        assert!(
+            store
+                .object_page_extents(&b)
+                .iter()
+                .any(|&(start, pages)| (start..start + pages).contains(&page)),
+            "the test needs the replaced page reallocated to the new object"
+        );
+    }
+    let (store, report) = reopen(vol);
+    assert_eq!(
+        report.redo_cancelled, 1,
+        "the freed page's redo was dropped"
+    );
+    let b = report.objects.iter().find(|o| o.id() == 3).unwrap();
+    assert_eq!(store.read_all(b).unwrap(), b_bytes);
+}
+
+/// Read-your-writes in a single-writer durable scope: every leaf read
+/// inside the scope — the caller's, and the ones insert makes —
+/// sees the stashed in-place writes.
+#[test]
+fn durable_scope_reads_its_own_in_place_writes() {
+    let vol = fresh_volume();
+    let mut model = pattern(5 * PAGE, 11);
+    {
+        let mut store = create(vol.clone());
+        let mut a = store.create_with(&model, Some(model.len() as u64)).unwrap();
+        store.begin_txn();
+        store.replace(&mut a, 700, &pattern(64, 12)).unwrap();
+        model[700..764].copy_from_slice(&pattern(64, 12));
+        assert_eq!(store.read_all(&a).unwrap(), model, "replace → read");
+        store.insert(&mut a, 650, &pattern(90, 13)).unwrap();
+        model.splice(650..650, pattern(90, 13));
+        assert_eq!(store.read_all(&a).unwrap(), model, "insert → read");
+        store.commit_txn().unwrap();
+        assert_eq!(store.read_all(&a).unwrap(), model, "after commit");
+    }
+    let (store, report) = reopen(vol);
+    assert_eq!(store.read_all(&report.objects[0]).unwrap(), model);
 }
 
 #[test]
@@ -368,12 +506,13 @@ fn durable_solo_commit_writes_the_log_once_and_no_directory() {
     let vol: SharedVolume = recorder.clone();
     let mut store = create(vol);
     let mut a = store.create_with(&pattern(4 * PAGE, 1), None).unwrap();
-    // Each op is one autocommit scope: a Touch frame, a Commit frame,
-    // allocations and deferred frees.
+    // Each op is one autocommit scope: a Commit frame, plus a Touch
+    // frame, allocations and deferred frees for the shadowed ones (the
+    // replace writes in place and logs only its redo).
     for step in 0..3 {
         recorder.take();
         match step {
-            0 => store.replace_shadow(&mut a, 700, &pattern(300, 2)),
+            0 => store.replace(&mut a, 700, &pattern(300, 2)),
             1 => store.insert(&mut a, 100, &pattern(90, 3)),
             _ => store.delete(&mut a, 1500, 400),
         }
@@ -386,7 +525,7 @@ fn durable_solo_commit_writes_the_log_once_and_no_directory() {
         assert!(
             !events
                 .iter()
-                .any(|e| matches!(e, Event::Read { start } if *start >= WAL_BASE)),
+                .any(|e| matches!(e, Event::Read { start, .. } if *start >= WAL_BASE)),
             "a commit read the log back: {events:?}"
         );
         assert_eq!(
@@ -461,7 +600,7 @@ fn log_less_store_writes_one_directory_page_per_allocation() {
 
 /// A checkpoint whose flip fails part-way must never strand commits the
 /// store goes on to acknowledge. Sweep an injected I/O failure across
-/// every operation of a run of copy-on-write replace commits on a small
+/// every operation of a run of replace commits on a small
 /// log (so the halves flip every few commits), heal the volume, commit
 /// a second object, and reopen: every acknowledged commit must be in
 /// the recovered image. Before the fix, a failed superblock write left
@@ -491,7 +630,7 @@ fn failed_checkpoint_publish_never_loses_acknowledged_commits() {
             let off = (usize::from(i) * 37) % 1400;
             let mut next = acked.clone();
             next[off..off + 100].copy_from_slice(&data);
-            if store.replace_shadow(&mut obj, off as u64, &data).is_ok() {
+            if store.replace(&mut obj, off as u64, &data).is_ok() {
                 acked = next;
             } else {
                 limbo = Some(next);
@@ -525,4 +664,299 @@ fn failed_checkpoint_publish_never_loses_acknowledged_commits() {
             assert_eq!(store.read_all(obj2).unwrap(), second, "budget {budget}");
         }
     }
+}
+
+// ---- commits in doubt ---------------------------------------------------
+//
+// A commit whose log force fails may or may not be durable; the store
+// reports it failed and appends a compensating commit that restores what
+// the log held before, so no later commit can be overwritten by it at
+// restart. One whose force succeeded but whose in-place write failed is
+// durable but only partly written: the log fails until reopen.
+
+/// The three commit paths: the single-writer store's `commit_scope`,
+/// and the concurrent front-end's solo and group-commit pipelines.
+#[derive(Debug, Clone, Copy)]
+enum Front {
+    Single,
+    Solo,
+    Grouped,
+}
+
+const FRONTS: [Front; 3] = [Front::Single, Front::Solo, Front::Grouped];
+
+/// A store driven through one [`Front`]. The single-writer path runs
+/// through [`ConcurrentStore::with_store_mut`], whose operations
+/// autocommit on the plain store.
+struct Pipeline {
+    front: Front,
+    cs: ConcurrentStore,
+}
+
+impl Pipeline {
+    fn new(front: Front, volume: SharedVolume) -> Pipeline {
+        let grouped = matches!(front, Front::Grouped);
+        let cs = ConcurrentStore::with_group_commit(create(volume), grouped);
+        Pipeline { front, cs }
+    }
+
+    /// A one-segment object, so a small replace writes in place.
+    fn create(&mut self, data: &[u8]) -> eos_core::LargeObject {
+        let hint = Some(data.len() as u64);
+        if let Front::Single = self.front {
+            return self
+                .cs
+                .with_store_mut(|st| st.create_with(data, hint))
+                .unwrap();
+        }
+        let txn = self.cs.begin();
+        let obj = txn.create(data, hint).unwrap();
+        txn.commit().unwrap();
+        obj
+    }
+
+    /// One replace in its own scope, committed.
+    fn replace(
+        &mut self,
+        obj: &mut eos_core::LargeObject,
+        at: u64,
+        data: &[u8],
+    ) -> eos_core::Result<()> {
+        if let Front::Single = self.front {
+            return self.cs.with_store_mut(|st| st.replace(obj, at, data));
+        }
+        let txn = self.cs.begin();
+        match txn.replace(obj, at, data) {
+            Ok(()) => txn.commit(),
+            Err(e) => {
+                let _ = txn.abort();
+                Err(e)
+            }
+        }
+    }
+
+    fn checkpoint(&self) -> eos_core::Result<()> {
+        self.cs.with_store(|st| {
+            st.durable_wal()
+                .map_or(Ok(()), eos_core::StripedWal::checkpoint)
+        })
+    }
+}
+
+/// `base` with `patch` laid over bytes `[at, at + patch.len())`.
+fn patched(base: &[u8], at: usize, patch: &[u8]) -> Vec<u8> {
+    let mut out = base.to_vec();
+    out[at..at + patch.len()].copy_from_slice(patch);
+    out
+}
+
+/// Scope A replaces a range in place and its log force fails; scope B
+/// replaces part of that range from the bytes on disk (A's write was
+/// never issued); the process dies, with or without a checkpoint first.
+/// B was acknowledged and A was not, so the reopened object is the base
+/// with B's bytes and none of A's — a checkpoint that carried A's redo
+/// past B would overwrite B's, and a replay of A without its
+/// compensation would resurrect A's around them.
+#[test]
+fn failed_in_place_force_never_overwrites_a_later_commit() {
+    use eos_pager::FaultyVolume;
+    for (front, checkpoint) in FRONTS.into_iter().flat_map(|f| [(f, false), (f, true)]) {
+        let inner = fresh_volume();
+        let faulty = FaultyVolume::new(inner.clone(), u64::MAX);
+        let mut pipe = Pipeline::new(front, faulty.clone());
+        let base = pattern(4 * PAGE, 1);
+        let mut obj = pipe.create(&base);
+        let (a, b) = (pattern(300, 2), pattern(100, 3));
+        faulty.fail_sync_after(0);
+        assert!(
+            pipe.replace(&mut obj, 100, &a).is_err(),
+            "{front:?}: the force failed"
+        );
+        pipe.replace(&mut obj, 200, &b)
+            .unwrap_or_else(|e| panic!("{front:?}: the store stopped after a failed force: {e}"));
+        if checkpoint {
+            pipe.checkpoint().unwrap();
+        }
+        drop(pipe);
+
+        let (store, report) = reopen(inner);
+        let got = store.read_all(&report.objects[0]).unwrap();
+        assert!(
+            got == patched(&base, 200, &b),
+            "{front:?}, checkpoint {checkpoint}: B lost, or A's bytes recovered"
+        );
+    }
+}
+
+/// An I/O failure swept across one in-place replace commit — its
+/// boundary read, its commit frame, its in-place write — then a second
+/// replace of the same range on the healed volume, a checkpoint and a
+/// reopen: every acknowledged commit survives, and the failing one is
+/// recovered whole or not at all. A commit whose in-place write failed
+/// is durable but partly written, so the store refuses the second
+/// replace and recovery finishes the first.
+#[test]
+fn failed_in_place_write_fails_the_log_and_recovery_finishes_it() {
+    use eos_pager::FaultyVolume;
+    for front in FRONTS {
+        let mut refused = 0;
+        for budget in 0..12u64 {
+            let inner = fresh_volume();
+            let faulty = FaultyVolume::new(inner.clone(), u64::MAX);
+            let mut pipe = Pipeline::new(front, faulty.clone());
+            let base = pattern(8 * PAGE, 4);
+            let mut obj = pipe.create(&base);
+            // Two pages, written one at a time: the failure can land
+            // between them.
+            let at = 3 * PAGE - 100;
+            let (a, b) = (pattern(PAGE, 5), pattern(PAGE, 6));
+            faulty.heal(budget);
+            let a_acked = pipe.replace(&mut obj, at as u64, &a).is_ok();
+            faulty.heal(u64::MAX);
+            let b_acked = pipe.replace(&mut obj, at as u64, &b);
+            if matches!(b_acked, Err(Error::LogFailed { .. })) {
+                refused += 1;
+            }
+            let _ = pipe.checkpoint();
+            drop(pipe);
+
+            let (store, report) = reopen(inner);
+            let got = store.read_all(&report.objects[0]).unwrap();
+            let after_a = patched(&base, at, &a);
+            if b_acked.is_ok() {
+                assert!(
+                    got == patched(&base, at, &b),
+                    "{front:?} budget {budget}: B lost"
+                );
+            } else if a_acked {
+                assert!(got == after_a, "{front:?} budget {budget}: A lost");
+            } else {
+                assert!(
+                    got == base || got == after_a,
+                    "{front:?} budget {budget}: A recovered in part"
+                );
+            }
+        }
+        assert!(refused > 0, "{front:?}: no budget failed an in-place write");
+    }
+}
+
+/// A delete whose force fails may still be found durable at restart;
+/// a later in-place replace of the same object logs no root, so only
+/// the delete's compensating commit, which logs the object's root
+/// again, keeps the replace's acknowledged bytes from vanishing with
+/// the object.
+#[test]
+fn failed_delete_force_never_drops_a_later_replace() {
+    use eos_pager::FaultyVolume;
+    let inner = fresh_volume();
+    let faulty = FaultyVolume::new(inner.clone(), u64::MAX);
+    let mut store = create(faulty.clone());
+    let base = pattern(4 * PAGE, 7);
+    let obj = store.create_with(&base, Some(base.len() as u64)).unwrap();
+    faulty.fail_sync_after(0);
+    assert!(
+        store.delete_object(&mut obj.clone()).is_err(),
+        "the delete's force failed"
+    );
+    let mut live = obj.clone();
+    let b = pattern(200, 8);
+    store.replace(&mut live, 100, &b).unwrap();
+    assert_eq!(
+        store.object_page_extents(&live),
+        store.object_page_extents(&obj),
+        "the replace wrote in place"
+    );
+    drop(store);
+
+    let (store, report) = reopen(inner);
+    let got = report
+        .objects
+        .iter()
+        .find(|o| o.id() == obj.id())
+        .expect("the acknowledged replace kept its object");
+    assert_eq!(store.read_all(got).unwrap(), patched(&base, 100, &b));
+}
+
+/// A v4 undo-image `replace` entry (tag 1) as the previous format wrote
+/// it: scope, the logical record (LSN first), the root after, and one
+/// before-image.
+fn v4_undo_entry(txn: u64, lsn: u64) -> eos_core::durable::WalEntry {
+    let put = |out: &mut Vec<u8>, b: &[u8]| {
+        out.extend_from_slice(&(b.len() as u32).to_le_bytes());
+        out.extend_from_slice(b);
+    };
+    let mut record = lsn.to_le_bytes().to_vec();
+    record.extend_from_slice(&1u64.to_le_bytes());
+    let mut raw = vec![1u8];
+    raw.extend_from_slice(&txn.to_le_bytes());
+    put(&mut raw, &record);
+    put(&mut raw, &[]);
+    raw.extend_from_slice(&1u32.to_le_bytes());
+    raw.extend_from_slice(&5u64.to_le_bytes());
+    put(&mut raw, &[0xAB; PAGE]);
+    eos_core::durable::WalEntry::from_bytes(&raw).unwrap()
+}
+
+/// Stamp every valid superblock slot with format version 4.
+fn stamp_v4_superblocks(vol: &SharedVolume) {
+    for slot in [WAL_BASE, WAL_BASE + 1] {
+        let mut page = vol.read_pages(slot, 1).unwrap();
+        if page[0..4] != 0x454F_5357u32.to_le_bytes() {
+            continue;
+        }
+        page[4..8].copy_from_slice(&4u32.to_le_bytes());
+        let crc = eos_core::durable::crc32(&page[..17]);
+        page[17..21].copy_from_slice(&crc.to_le_bytes());
+        vol.write_pages(slot, &page).unwrap();
+    }
+}
+
+/// Old logs are never misread: a v4 log whose undo-image entries all
+/// committed recovers (their in-place writes were synced before their
+/// commit), and one whose pending tail still holds such an entry is
+/// refused with a typed error instead of being rolled forward.
+#[test]
+fn v4_logs_recover_or_are_refused() {
+    use eos_core::durable::{DurableWal, WalEntry};
+    let vol = fresh_volume();
+    let bytes = pattern(900, 3);
+    {
+        let mut store = create(vol.clone());
+        store.create_with(&bytes, None).unwrap();
+    }
+    {
+        let mut wal = DurableWal::attach(vol.clone(), WAL_BASE, WAL_PAGES).unwrap();
+        let lsn = wal.allocate_lsn();
+        wal.append(v4_undo_entry(7, lsn)).unwrap();
+        let lsn = wal.allocate_lsn();
+        wal.append(WalEntry::Commit {
+            txn: 7,
+            lsn,
+            participants: 1,
+            touched: Vec::new(),
+            deleted: Vec::new(),
+            redo: Vec::new(),
+            freed: Vec::new(),
+        })
+        .unwrap();
+    }
+    stamp_v4_superblocks(&vol);
+    let image = vol.read_pages(0, vol.num_pages()).unwrap();
+    let (store, report) = reopen(vol.clone());
+    assert_eq!(store.read_all(&report.objects[0]).unwrap(), bytes);
+
+    // The same v4 log with one more undo entry that never committed.
+    let vol = MemVolume::from_bytes(PAGE, image, DiskProfile::FREE).shared();
+    {
+        let mut wal = DurableWal::attach(vol.clone(), WAL_BASE, WAL_PAGES).unwrap();
+        let lsn = wal.allocate_lsn();
+        wal.append(v4_undo_entry(8, lsn)).unwrap();
+    }
+    let refused =
+        ObjectStore::open_durable(vol, SPACES, PPS, StoreConfig::default(), WAL_PAGES).map(|_| ());
+    assert!(
+        matches!(refused, Err(eos_core::Error::LegacyUndoLog { txn: 8 })),
+        "got {refused:?}"
+    );
 }

@@ -9,7 +9,9 @@
 //! ([`FaultyVolume::with_budgets`]) — the crash sweep needs a volume
 //! that keeps serving reads while refusing writes. Every rejected call
 //! is counted and surfaced through [`IoStats::read_faults`] /
-//! [`IoStats::write_faults`].
+//! [`IoStats::write_faults`]. Syncs are not budgeted, but a single one
+//! can be made to fail ([`FaultyVolume::fail_sync_after`]); it counts
+//! as a write fault.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -31,6 +33,9 @@ pub struct FaultyVolume {
     writes_left: AtomicU64,
     read_faults: AtomicU64,
     write_faults: AtomicU64,
+    /// Syncs left before the one that fails ([`FaultyVolume::fail_sync_after`]);
+    /// `u64::MAX` when no sync is set to fail.
+    syncs_left: AtomicU64,
 }
 
 impl FaultyVolume {
@@ -44,6 +49,7 @@ impl FaultyVolume {
             writes_left: AtomicU64::new(budget),
             read_faults: AtomicU64::new(0),
             write_faults: AtomicU64::new(0),
+            syncs_left: AtomicU64::new(u64::MAX),
         })
     }
 
@@ -57,6 +63,7 @@ impl FaultyVolume {
             writes_left: AtomicU64::new(writes),
             read_faults: AtomicU64::new(0),
             write_faults: AtomicU64::new(0),
+            syncs_left: AtomicU64::new(u64::MAX),
         })
     }
 
@@ -72,6 +79,13 @@ impl FaultyVolume {
     pub fn heal_rw(&self, reads: u64, writes: u64) {
         self.reads_left.store(reads, Ordering::SeqCst);
         self.writes_left.store(writes, Ordering::SeqCst);
+    }
+
+    /// Let the next `syncs` syncs through and fail the one after, once
+    /// (an fsync error, as a failing disk reports it). Syncs are
+    /// otherwise never charged against the operation budgets.
+    pub fn fail_sync_after(&self, syncs: u64) {
+        self.syncs_left.store(syncs, Ordering::SeqCst);
     }
 
     /// Operations left before the next failure: the shared counter on a
@@ -156,6 +170,17 @@ impl Volume for FaultyVolume {
     }
 
     fn sync(&self) -> Result<()> {
+        match self.syncs_left.load(Ordering::SeqCst) {
+            u64::MAX => {}
+            0 => {
+                self.syncs_left.store(u64::MAX, Ordering::SeqCst);
+                self.write_faults.fetch_add(1, Ordering::SeqCst);
+                return Err(Error::Io(std::io::Error::other(
+                    "injected fault: sync failed",
+                )));
+            }
+            left => self.syncs_left.store(left - 1, Ordering::SeqCst),
+        }
         self.inner.sync()
     }
 }
@@ -178,6 +203,19 @@ mod tests {
         assert_eq!(f.read_pages(0, 1).unwrap()[0], 1, "healed");
         assert!(f.read_pages(0, 1).is_err());
         assert_eq!(f.fault_counts(), (2, 1));
+    }
+
+    #[test]
+    fn one_sync_fails_after_its_budget() {
+        let inner = MemVolume::with_profile(128, 16, DiskProfile::FREE).shared();
+        let f = FaultyVolume::new(inner, u64::MAX);
+        f.sync().unwrap();
+        f.fail_sync_after(1);
+        f.sync().unwrap();
+        assert!(f.sync().is_err(), "the second sync fails");
+        f.sync().unwrap();
+        f.write_pages(0, &[1u8; 128]).unwrap();
+        assert_eq!(f.fault_counts(), (0, 1));
     }
 
     #[test]

@@ -50,7 +50,11 @@ fn pattern(len: usize, salt: u8) -> Vec<u8> {
 }
 
 /// The scripted workload from `crash_sweep.rs`: ten transaction scopes
-/// exercising every §4 operation across page and segment boundaries.
+/// exercising every §4 operation across page and segment boundaries,
+/// then an object whose later segments are big enough that a small
+/// replace is cheaper in place than rewritten, and a scope of such
+/// replaces alone — a commit that is one frame force followed by the
+/// in-place writes.
 fn workload() -> Vec<Vec<Op>> {
     vec![
         vec![
@@ -100,8 +104,16 @@ fn workload() -> Vec<Vec<Op>> {
             Op::Append(3, pattern(150, 22)),
             Op::Insert(4, 128, pattern(99, 23)),
         ],
+        vec![Op::Create(pattern(12 * PAGE, 24))],
+        vec![
+            Op::Replace(5, 4 * PAGE as u64 + 10, pattern(100, 25)),
+            Op::Replace(5, 9 * PAGE as u64 - 30, pattern(60, 26)),
+        ],
     ]
 }
+
+/// Index of the workload's in-place replace scope.
+const IN_PLACE_TXN: usize = 11;
 
 /// Apply one op to the byte-level model.
 fn model_apply(model: &mut BTreeMap<u64, Vec<u8>>, next_id: &mut u64, op: &Op) {
@@ -302,8 +314,8 @@ fn baseline_images_all_recover() {
     let sealed = mv.sealed_groups();
     assert_eq!(
         states.last().unwrap().len(),
-        3,
-        "model end state should hold three objects"
+        4,
+        "model end state should hold four objects"
     );
     for m in format_syncs - 1..sealed {
         assert!(
@@ -371,10 +383,11 @@ fn elision_breaks_some_image(
 }
 
 /// CI smoke (`cargo test --test barrier_mutation quick_`): the three
-/// barriers whose removal the static L6 rule provably catches —
-/// txn 3's undo-image force in `logged_replace`, the data-before-log
-/// barrier in `prepare_commit`, and the commit-frame force — each also
-/// break a crash image at runtime.
+/// barriers whose removal the static L6 rule provably catches — the
+/// commit-frame force an in-place replace's page writes wait for
+/// (no-steal redo), the data-before-log barrier in `prepare_commit`,
+/// and the commit-frame force of a scope that wrote shadow pages —
+/// each also break a crash image at runtime.
 #[test]
 fn quick_pinned_barriers_each_break_recovery() {
     let states = model_states();
@@ -383,14 +396,20 @@ fn quick_pinned_barriers_each_break_recovery() {
     drop(store);
     let total = mv.sealed_groups();
 
-    // txn 3 (index 2) is pure in-place replaces: its first sync is the
-    // undo-image WAL force; its commit's last two syncs are the
+    // The in-place scope allocates nothing, so its commit is a single
+    // sync: the force of the frame carrying its redo. txn 3 (index 2)
+    // rewrites small segments: its commit's two syncs are the
     // shadow-data barrier and the commit-frame force.
-    let undo_force = trace.post[1];
+    assert_eq!(
+        trace.post[IN_PLACE_TXN] - trace.pre[IN_PLACE_TXN],
+        1,
+        "the in-place replace scope should commit with one sync"
+    );
+    let redo_force = trace.post[IN_PLACE_TXN] - 1;
     let data_barrier = trace.post[2] - 2;
     let frame_force = trace.post[2] - 1;
     for (name, k) in [
-        ("undo-image force", undo_force),
+        ("in-place commit-frame force", redo_force),
         ("shadow-data barrier", data_barrier),
         ("commit-frame force", frame_force),
     ] {
@@ -425,7 +444,6 @@ fn quick_static_seal_census_matches_runtime() {
             "mvcc-publish",
             "shadow-data",
             "superblock",
-            "undo-image",
         ],
         "durability class table drifted (DESIGN.md §15)"
     );
@@ -465,8 +483,6 @@ fn quick_static_seal_census_matches_runtime() {
             expect("durable.rs", &["superblock"]),
             expect("store.rs", &["commit-frame"]),
             expect("store.rs", &["shadow-data"]),
-            expect("store.rs", &["shadow-data"]),
-            expect("store/logged.rs", &["undo-image"]),
             // StripedWal::sync_stripes — the per-stripe commit seal.
             expect("striped.rs", &["commit-frame"]),
         ],
@@ -475,14 +491,15 @@ fn quick_static_seal_census_matches_runtime() {
     );
 
     // Runtime side: the canonical workload crosses the format sync plus
-    // at least one undo force, data barrier, and commit force per txn.
+    // at least one commit force per txn, and a data barrier in all but
+    // the in-place replace scope.
     let (mut store, mv) = fresh_store(None);
     let format_syncs = mv.sync_count();
     let trace = run_workload(&mut store, &mv);
     drop(store);
     assert!(format_syncs >= 1);
     assert!(
-        mv.sync_count() >= format_syncs + 2 * workload().len(),
+        mv.sync_count() >= format_syncs + 2 * workload().len() - 1,
         "workload crossed only {} sync sites — too few to exercise the \
          declared barriers",
         mv.sync_count()

@@ -393,6 +393,7 @@ fn log_full_during_commit_aborts_cleanly() {
                 .iter()
                 .map(|(k, v)| (*k, v.clone()))
                 .collect(),
+            redo: Vec::new(),
         };
         let commit = WalEntry::Commit {
             txn: 0,
@@ -400,6 +401,8 @@ fn log_full_during_commit_aborts_cleanly() {
             participants: 1,
             touched: Vec::new(),
             deleted: objs.iter().map(|(o, _)| o.id()).collect(),
+            redo: Vec::new(),
+            freed: Vec::new(),
         };
         // Three frame headers (checkpoint, commit, terminator) are
         // deliberately ignored: requiring the payloads alone to

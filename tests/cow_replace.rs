@@ -1,18 +1,23 @@
-//! Copy-on-write replace as a §4.4 L/N/R rewrite.
+//! Copy-on-write replace as a §4.4 L/N/R rewrite, and the durable
+//! replace's choice between it and an in-place write.
 //!
-//! The MVCC replace ([`ObjectStore::replace_shadow`], the path under
-//! every `Txn::replace`) rewrites only the touched pages of a segment,
-//! plus what the threshold T makes its neighbours donate; the pages
-//! before and after stay in place. Pinned here:
+//! The copy-on-write replace ([`ObjectStore::replace_shadow`], the side
+//! of the durable `replace` that rewrites a segment) rewrites only the
+//! touched pages of a segment, plus what the threshold T makes its
+//! neighbours donate; the pages before and after stay in place. Pinned
+//! here:
 //!
 //! * a model-based property over segment size, offset, length and T
 //!   (`Fixed` and `Adaptive`): the bytes equal the model, the rewrite
 //!   allocates no more pages than rewriting the whole segment would,
 //!   every piece left behind is safe (≥ T pages) unless the segment was
-//!   rewritten whole, and the volume passes `eos check`;
+//!   rewritten whole, and the volume passes `eos check`; and the
+//!   durable `replace` on the same state never writes more device
+//!   bytes than either the rewrite or an all-in-place write would;
 //! * the I/O shape: a one-page replace in a 16-page segment at T = 8
 //!   reads and writes at most 8 data pages, not 16.
 
+use eos::core::durable::REDO_HEADER;
 use eos::core::{LargeObject, ObjectStore, StoreConfig, Threshold};
 use eos::pager::{DiskProfile, MemVolume};
 use proptest::prelude::*;
@@ -84,6 +89,53 @@ fn replace_counting_allocs(
     allocated
 }
 
+/// Device bytes the durable `replace` (cost-chosen per segment) writes
+/// for one replace in its own transaction: fresh pages of rewritten
+/// segments, pages written in place, and the redo their commit frame
+/// carries. In-place pages are the touched pages still referenced
+/// afterwards (a rewritten segment's touched pages are freed).
+fn chosen_replace_bytes(
+    store: &mut ObjectStore,
+    obj: &mut LargeObject,
+    at: u64,
+    data: &[u8],
+) -> u64 {
+    let ps = store.page_size() as u64;
+    let touched: Vec<u64> = touched_pages(store, obj, at, data.len() as u64);
+    let redo = store.metrics().counter("wal.redo_bytes");
+    let redo_before = redo.get();
+    store.begin_txn();
+    let free_before = store.buddy().total_free_pages();
+    store.replace(obj, at, data).unwrap();
+    let allocated = free_before - store.buddy().total_free_pages();
+    store.commit_txn().unwrap();
+    let live: Vec<(u64, u64)> = store.object_page_extents(obj);
+    let in_place = touched
+        .iter()
+        .filter(|&&p| live.iter().any(|&(s, n)| (s..s + n).contains(&p)))
+        .count() as u64;
+    (allocated + in_place) * ps + redo.get() - redo_before
+}
+
+/// Volume pages holding bytes `[at, at + len)` of a one-level object
+/// whose segments are whole pages but for the last (what a single
+/// segment and the pieces replaces cut from it look like).
+fn touched_pages(store: &ObjectStore, obj: &LargeObject, at: u64, len: u64) -> Vec<u64> {
+    let ps = store.page_size() as u64;
+    let mut out = Vec::new();
+    let mut seg_at = 0u64;
+    for (start, pages) in store.object_page_extents(obj) {
+        let bytes = (pages * ps).min(obj.size() - seg_at);
+        let (lo, hi) = (at.max(seg_at), (at + len).min(seg_at + bytes));
+        if lo < hi {
+            let (p0, p1) = ((lo - seg_at) / ps, (hi - 1 - seg_at) / ps);
+            out.extend((p0..=p1).map(|p| start + p));
+        }
+        seg_at += bytes;
+    }
+    out
+}
+
 fn threshold() -> impl Strategy<Value = Threshold> {
     prop_oneof![
         (1u32..17).prop_map(Threshold::Fixed),
@@ -110,12 +162,37 @@ proptest! {
         let (mut obj, mut model) = one_segment_object(&mut store, len as usize);
         let t_eff = u64::from(t.effective(1, store.node_cap()));
 
+        // The durable `replace` runs on a twin that takes the same
+        // rounds: its device bytes are never more than the rewrite's
+        // (measured below) or than writing every touched page in place.
+        let mut twin = durable(ps as usize, t);
+        let (mut twin_obj, _) = one_segment_object(&mut twin, len as usize);
         for (round, (at, n)) in [first, second].into_iter().enumerate() {
             let at = at % len;
             let n = (n as u64).min(len - at) as usize;
             let data = fill(round as u8 + 101, n);
             let pages_before: u64 = segment_pages(&store, &obj).iter().sum();
+            let touched = touched_pages(&store, &obj, at, n as u64).len() as u64;
+            let chosen = chosen_replace_bytes(&mut twin, &mut twin_obj, at, &data);
             let allocated = replace_counting_allocs(&mut store, &mut obj, at, &data);
+            let all_in_place = touched * (ps + REDO_HEADER) + n as u64;
+            prop_assert!(
+                chosen <= allocated * ps && chosen <= all_in_place,
+                "chose {chosen} B: rewrite {} B, in place {all_in_place} B",
+                allocated * ps
+            );
+            prop_assert_eq!(&twin.read_all(&twin_obj).unwrap(), &{
+                let mut m = model.clone();
+                m[at as usize..at as usize + n].copy_from_slice(&data);
+                m
+            });
+            // Later rounds start from the same layout on both sides.
+            if round == 0 {
+                twin = durable(ps as usize, t);
+                let (o, _) = one_segment_object(&mut twin, len as usize);
+                twin_obj = o;
+                replace_counting_allocs(&mut twin, &mut twin_obj, at, &data);
+            }
             model[at as usize..at as usize + n].copy_from_slice(&data);
 
             prop_assert_eq!(&store.read_all(&obj).unwrap(), &model);

@@ -47,6 +47,10 @@ enum Op {
     Replace(u64, u64, Vec<u8>),
     Truncate(u64, u64),
     DeleteObj(u64),
+    /// Commit this scope and the next one as one group-commit batch,
+    /// with a log checkpoint between their commit appends (the flip an
+    /// append can fire inside Phase B). No effect on the bytes.
+    BatchWithNext,
 }
 
 fn pattern(len: usize, salt: u8) -> Vec<u8> {
@@ -55,9 +59,11 @@ fn pattern(len: usize, salt: u8) -> Vec<u8> {
         .collect()
 }
 
-/// The scripted workload: 28 transaction scopes exercising every §4
+/// The scripted workload: 34 transaction scopes exercising every §4
 /// operation, sized to cross page and segment boundaries and to flip
-/// the log's halves once.
+/// the log's halves, ending with the in-place replace cases: a replace
+/// written after its commit frame, a free and a reallocation of its
+/// page, and a checkpoint inside a group-commit batch.
 fn workload() -> Vec<Vec<Op>> {
     vec![
         // txn 1: two objects are born
@@ -203,6 +209,30 @@ fn workload() -> Vec<Vec<Op>> {
             Op::Truncate(5, 900),
             Op::Insert(3, 2500, pattern(200, 53)),
         ],
+        // txn 29: object 9 grows to 20 pages in doubling segments (1,
+        // 2, 4, 8, 5 pages), big enough for in-place replaces.
+        vec![Op::Create(pattern(20 * PAGE, 54))],
+        // txn 30: an in-place replace in the 8-page segment (pages
+        // 7–14): its page is written after the commit frame, from the
+        // redo the frame carries.
+        vec![Op::Replace(9, 7 * PAGE as u64 + 30, pattern(200, 55))],
+        // txn 31: an insert into that segment rewrites it whole and
+        // frees the replaced page — the commit logs the freed extent.
+        vec![Op::Insert(9, 7 * PAGE as u64 + 100, pattern(50, 56))],
+        // txn 32: growth reallocates the freed pages with new bytes;
+        // recovery must not replay txn 30's redo over them.
+        vec![Op::Append(9, pattern(8 * PAGE, 57))],
+        // txns 33–34: one group-commit batch whose second append flips
+        // the log: txn 33's redo is not yet written in place at the
+        // flip, so the checkpoint must carry it.
+        vec![
+            Op::Replace(9, 3 * PAGE as u64 + 7, pattern(90, 58)),
+            Op::BatchWithNext,
+        ],
+        vec![
+            Op::Replace(5, 5, pattern(40, 59)),
+            Op::Append(3, pattern(300, 60)),
+        ],
     ]
 }
 
@@ -230,6 +260,7 @@ fn model_apply(model: &mut BTreeMap<u64, Vec<u8>>, next_id: &mut u64, op: &Op) {
         Op::DeleteObj(id) => {
             model.remove(id);
         }
+        Op::BatchWithNext => {}
     }
 }
 
@@ -268,6 +299,7 @@ fn store_apply(
             let mut obj = handles.remove(id).unwrap();
             store.delete_object(&mut obj)?;
         }
+        Op::BatchWithNext => {}
     }
     Ok(())
 }
@@ -283,12 +315,36 @@ enum Outcome {
     /// Crash surfaced inside `commit_txn` of txn `n` (0-based): the
     /// commit record may or may not have become durable — limbo.
     CrashedInCommit(usize),
+    /// Crash surfaced inside the batched commit of txns `n` and `n+1`:
+    /// either, both or neither record may have become durable.
+    CrashedInBatch(usize),
+}
+
+impl Outcome {
+    /// The committed prefixes (counts of whole txns) a crash with this
+    /// outcome may recover to.
+    fn prefixes(&self) -> std::ops::RangeInclusive<usize> {
+        match *self {
+            Outcome::Completed => panic!("the workload completed despite the crash"),
+            Outcome::CrashedInTxn(n) => n..=n,
+            Outcome::CrashedInCommit(n) => n..=n + 1,
+            Outcome::CrashedInBatch(n) => n..=n + 2,
+        }
+    }
 }
 
 /// Run a scripted workload transaction by transaction.
 fn run_ops(store: &mut ObjectStore, txns: &[Vec<Op>]) -> Outcome {
     let mut handles = BTreeMap::new();
-    for (t, txn) in txns.iter().enumerate() {
+    let mut t = 0;
+    while let Some(txn) = txns.get(t) {
+        if txn.iter().any(|op| matches!(op, Op::BatchWithNext)) {
+            if let Err(outcome) = run_batch(store, &mut handles, t, &txns[t..t + 2]) {
+                return outcome;
+            }
+            t += 2;
+            continue;
+        }
         store.begin_txn();
         for op in txn {
             if store_apply(store, &mut handles, op).is_err() {
@@ -298,8 +354,42 @@ fn run_ops(store: &mut ObjectStore, txns: &[Vec<Op>]) -> Outcome {
         if store.commit_txn().is_err() {
             return Outcome::CrashedInCommit(t);
         }
+        t += 1;
     }
     Outcome::Completed
+}
+
+/// Commit two scopes the way the group-commit leader does — both
+/// appends, one force, then each scope's in-place writes and frees —
+/// with a log checkpoint between the two appends.
+fn run_batch(
+    store: &mut ObjectStore,
+    handles: &mut BTreeMap<u64, LargeObject>,
+    t: usize,
+    pair: &[Vec<Op>],
+) -> Result<(), Outcome> {
+    let mut scopes = Vec::new();
+    for txn in pair {
+        let id = store.open_scope();
+        store.set_active_scope(Some(id));
+        let applied: eos::core::Result<()> = txn
+            .iter()
+            .try_for_each(|op| store_apply(store, handles, op));
+        store.set_active_scope(None);
+        applied.map_err(|_| Outcome::CrashedInTxn(t))?;
+        scopes.push(id);
+    }
+    let commit = |store: &mut ObjectStore| -> eos::core::Result<()> {
+        let first = store.prepare_commit(scopes[0], store.scope_dirty(scopes[0]))?;
+        store.durable_wal().unwrap().checkpoint()?;
+        let second = store.prepare_commit(scopes[1], store.scope_dirty(scopes[1]))?;
+        let mut stripes = first.stripes.clone();
+        stripes.extend(&second.stripes);
+        store.durable_wal().unwrap().sync_stripes(&stripes)?;
+        store.finish_commit(first)?;
+        store.finish_commit(second)
+    };
+    commit(store).map_err(|_| Outcome::CrashedInBatch(t))
 }
 
 fn run_workload(store: &mut ObjectStore) -> Outcome {
@@ -392,7 +482,7 @@ fn crash_sweep_every_io_point() {
         2 * total_writes
     );
     assert!(
-        total_writes >= 100,
+        total_writes >= 144,
         "workload too small for a meaningful sweep: {total_writes} writes"
     );
     let (_, final_bytes, _) = recover(gate.image().unwrap());
@@ -414,21 +504,14 @@ fn crash_sweep_every_io_point() {
             );
             let (rstore, recovered, objects) = recover(gate.image().unwrap());
 
-            let committed = match outcome {
-                Outcome::Completed => {
-                    panic!("k={k} torn={torn}: workload completed despite the crash")
-                }
-                Outcome::CrashedInTxn(n) | Outcome::CrashedInCommit(n) => n,
-            };
-            let limbo_ok = matches!(outcome, Outcome::CrashedInCommit(_))
-                && recovered == states[committed + 1];
+            let prefixes = outcome.prefixes();
             assert!(
-                recovered == states[committed] || limbo_ok,
-                "k={k} torn={torn}: recovered state matches neither the \
-                 {committed}-txn prefix nor (in commit limbo) the next one.\n\
+                prefixes.clone().any(|j| recovered == states[j]),
+                "k={k} torn={torn}: recovered state matches no committed \
+                 prefix in {prefixes:?} ({outcome:?}).\n\
                  recovered ids: {:?}\nexpected ids: {:?}",
                 recovered.keys().collect::<Vec<_>>(),
-                states[committed].keys().collect::<Vec<_>>(),
+                states[*prefixes.start()].keys().collect::<Vec<_>>(),
             );
             assert_checker_clean(&rstore, &objects, &format!("k={k} torn={torn}"));
         }
@@ -539,6 +622,21 @@ fn striped_workload() -> Vec<Vec<Op>> {
         ],
         // txn 22: a final cross-stripe death and growth.
         vec![Op::DeleteObj(6), Op::Append(3, pattern(PAGE, 71))],
+        // txn 23: objects 9 (stripe 1) and 10 (stripe 0) grow to 16
+        // pages in doubling segments, the fourth one 8 pages long.
+        vec![
+            Op::Create(pattern(16 * PAGE, 72)),
+            Op::Create(pattern(16 * PAGE, 73)),
+        ],
+        // txn 24: cross-stripe in-place replaces — each stripe's commit
+        // part carries its own object's redo.
+        vec![
+            Op::Replace(9, 7 * PAGE as u64 + 5, pattern(100, 74)),
+            Op::Replace(10, 8 * PAGE as u64 + 300, pattern(150, 75)),
+        ],
+        // txn 25: stripe-1 solo: an insert rewrites the replaced
+        // segment and frees its pages.
+        vec![Op::Insert(9, 7 * PAGE as u64 + 50, pattern(40, 76))],
     ]
 }
 
@@ -563,7 +661,7 @@ fn crash_sweep_striped_wal_two_stripes() {
     drop(store);
     println!("striped crash sweep: {total_writes} I/O points across 2 stripes, clean + torn");
     assert!(
-        total_writes >= 60,
+        total_writes >= 104,
         "striped workload too small for a meaningful sweep: {total_writes} writes"
     );
     let (_, final_bytes, _) =
@@ -584,26 +682,19 @@ fn crash_sweep_striped_wal_two_stripes() {
             let (rstore, recovered, objects) =
                 recover_with(gate.image().unwrap(), striped_config(), STRIPED_WAL_PAGES);
 
-            let committed = match outcome {
-                Outcome::Completed => {
-                    panic!("striped k={k} torn={torn}: workload completed despite the crash")
-                }
-                Outcome::CrashedInTxn(n) | Outcome::CrashedInCommit(n) => n,
-            };
             // In commit limbo a cross-stripe scope has one extra legal
             // outcome the single-log sweep never sees: all parts durable
-            // → present (states[committed + 1]); any part missing →
-            // presumed abort → absent (states[committed]). Both reduce
-            // to the same prefix-or-successor assertion.
-            let limbo_ok = matches!(outcome, Outcome::CrashedInCommit(_))
-                && recovered == states[committed + 1];
+            // → present (the successor prefix); any part missing →
+            // presumed abort → absent. Both reduce to the same
+            // prefix-or-successor assertion.
+            let prefixes = outcome.prefixes();
             assert!(
-                recovered == states[committed] || limbo_ok,
-                "striped k={k} torn={torn}: recovered state matches neither the \
-                 {committed}-txn prefix nor (in commit limbo) the next one.\n\
+                prefixes.clone().any(|j| recovered == states[j]),
+                "striped k={k} torn={torn}: recovered state matches no committed \
+                 prefix in {prefixes:?} ({outcome:?}).\n\
                  recovered ids: {:?}\nexpected ids: {:?}",
                 recovered.keys().collect::<Vec<_>>(),
-                states[committed].keys().collect::<Vec<_>>(),
+                states[*prefixes.start()].keys().collect::<Vec<_>>(),
             );
             assert_checker_clean(&rstore, &objects, &format!("striped k={k} torn={torn}"));
         }
@@ -733,6 +824,7 @@ fn txn_apply(
         Op::Replace(id, off, bytes) => txn.replace(handles.get_mut(id).unwrap(), *off, bytes)?,
         Op::Truncate(id, size) => txn.truncate(handles.get_mut(id).unwrap(), *size)?,
         Op::DeleteObj(id) => txn.delete_object(&mut handles.remove(id).unwrap())?,
+        Op::BatchWithNext => unreachable!("the MVCC workload batches through the pipeline"),
     }
     Ok(())
 }
@@ -786,7 +878,7 @@ fn crash_sweep_mvcc_publish_and_reclaim() {
     let total_writes = gate.writes_seen();
     println!("mvcc crash sweep: {total_writes} I/O points, clean + torn");
     assert!(
-        total_writes >= 40,
+        total_writes >= 57,
         "MVCC workload too small for a meaningful sweep: {total_writes} writes"
     );
     let (_, final_bytes, _) = recover(gate.image().unwrap());
@@ -805,21 +897,14 @@ fn crash_sweep_mvcc_publish_and_reclaim() {
             );
             let (rstore, recovered, objects) = recover(gate.image().unwrap());
 
-            let committed = match outcome {
-                Outcome::Completed => {
-                    panic!("mvcc k={k} torn={torn}: workload completed despite the crash")
-                }
-                Outcome::CrashedInTxn(n) | Outcome::CrashedInCommit(n) => n,
-            };
-            let limbo_ok = matches!(outcome, Outcome::CrashedInCommit(_))
-                && recovered == states[committed + 1];
+            let prefixes = outcome.prefixes();
             assert!(
-                recovered == states[committed] || limbo_ok,
-                "mvcc k={k} torn={torn}: recovered state matches neither the \
-                 {committed}-txn prefix nor (in commit limbo) the next one.\n\
+                prefixes.clone().any(|j| recovered == states[j]),
+                "mvcc k={k} torn={torn}: recovered state matches no committed \
+                 prefix in {prefixes:?} ({outcome:?}).\n\
                  recovered ids: {:?}\nexpected ids: {:?}",
                 recovered.keys().collect::<Vec<_>>(),
-                states[committed].keys().collect::<Vec<_>>(),
+                states[*prefixes.start()].keys().collect::<Vec<_>>(),
             );
             assert_checker_clean(&rstore, &objects, &format!("mvcc k={k} torn={torn}"));
         }
@@ -831,22 +916,24 @@ fn crash_sweep_mvcc_publish_and_reclaim() {
 /// points, then recover from that second-generation image.
 #[test]
 fn crash_sweep_double_crash_during_recovery() {
-    // First-generation crash image: power loss mid-way through txn 3
-    // (the replace transaction — the one with undo work to redo).
+    // First-generation crash image: power loss mid-way through txn 31,
+    // right after txn 30's in-place replace committed — so recovery has
+    // committed redo to replay, and an open scope's tail to discard.
+    const PREFIX: usize = 30;
     let (mut store, gate) = fresh_store();
     gate.arm(u64::MAX, false);
     let mut handles = BTreeMap::new();
     let txns = workload();
-    for txn in txns.iter().take(3) {
+    for txn in txns.iter().take(PREFIX) {
         store.begin_txn();
         for op in txn {
             store_apply(&mut store, &mut handles, op).unwrap();
         }
         store.commit_txn().unwrap();
     }
-    // Open scope, never committed: pending replace images in the log.
+    // Open scope, never committed: its Touch frames pend in the log.
     store.begin_txn();
-    for op in &txns[3] {
+    for op in &txns[PREFIX] {
         store_apply(&mut store, &mut handles, op).unwrap();
     }
     drop(store);
@@ -860,7 +947,10 @@ fn crash_sweep_double_crash_during_recovery() {
     let (_s, _r) =
         ObjectStore::open_durable(v, SPACES, PPS, StoreConfig::default(), WAL_PAGES).unwrap();
     let recovery_writes = gate.writes_seen();
-    assert!(recovery_writes > 0);
+    assert!(
+        recovery_writes >= 5,
+        "recovery wrote only {recovery_writes} times"
+    );
     println!("double-crash sweep: {recovery_writes} I/O points inside recovery");
 
     let states = model_states();
@@ -878,8 +968,8 @@ fn crash_sweep_double_crash_during_recovery() {
             );
             let (rstore, recovered, objects) = recover(gate.image().unwrap());
             assert_eq!(
-                recovered, states[3],
-                "k={k} torn={torn}: second recovery must land on the 3-txn prefix"
+                recovered, states[PREFIX],
+                "k={k} torn={torn}: second recovery must land on the {PREFIX}-txn prefix"
             );
             assert_checker_clean(
                 &rstore,

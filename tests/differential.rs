@@ -414,10 +414,10 @@ fn txn_apply(txn: &Txn, obj: &mut LargeObject, c: &Cop) {
 }
 
 /// Cases of `pinned_readers_see_their_pin_point` run so far, and how
-/// many of them ran a replace on an object holding a segment of at
-/// least 2T pages while a reader pin was live.
+/// many of them committed an in-place replace while a reader pin was
+/// live (so before-images were parked for the older pin).
 static PIN_CASES: AtomicU32 = AtomicU32::new(0);
-static SPLIT_UNDER_PIN: AtomicU32 = AtomicU32::new(0);
+static IN_PLACE_UNDER_PIN: AtomicU32 = AtomicU32::new(0);
 
 /// A pinned reader and what the world looked like when it pinned.
 fn assert_pinned_view(snap: &Snapshot, objs: &[LargeObject], models: &[Vec<u8>]) {
@@ -431,8 +431,8 @@ fn assert_pinned_view(snap: &Snapshot, objs: &[LargeObject], models: &[Vec<u8>])
     }
 }
 
-// Four times the default cases: only about a quarter of them replace
-// into an object with a ≥ 2T-page segment while a reader is pinned.
+// Four times the default cases, so that plenty of them commit an
+// in-place replace while a reader is pinned.
 proptest! {
     #![proptest_config(ProptestConfig { cases: 4 * prop_cases(), ..ProptestConfig::default() })]
 
@@ -441,7 +441,9 @@ proptest! {
     /// reader's view stays byte-equal to the model at its pin point —
     /// across later commits, aborts, and mid-transaction states — and
     /// the volume comes out of the run structurally clean (no pages
-    /// leaked by the deferred-free parking).
+    /// leaked by the deferred-free parking). Replaces overwrite their
+    /// pages in place at commit; the before-images parked for older
+    /// pins are all dropped once the last pin goes.
     #[test]
     fn pinned_readers_see_their_pin_point(acts in snap_acts()) {
         const SPACES: usize = 2;
@@ -462,8 +464,8 @@ proptest! {
         )
         .unwrap();
         // The third object is one 40-page segment — past 2T pages at
-        // the default T = 8 — so replaces into it take the L/N/R split
-        // path (pieces kept in place, shared with pinned roots).
+        // the default T = 8 — so small replaces into it are written in
+        // place, and large ones split it L/N/R.
         let mut objs = vec![
             store.create_with(&fill(1, 700), None).unwrap(),
             store.create_with(&fill(2, 1_300), None).unwrap(),
@@ -475,17 +477,13 @@ proptest! {
         // Start with one reader pinned at the seed state (a DropPin act
         // may release it), so early writes already run under a pin.
         let mut pins: Vec<(Snapshot, Vec<Vec<u8>>)> = vec![(cs.snapshot(), models.clone())];
-        let mut split_under_pin = false;
+        let overlay = cs.with_store(|st| st.metrics().gauge("mvcc.overlay_pages"));
+        let mut in_place_under_pin = false;
 
         for (i, act) in acts.iter().enumerate() {
             match act {
                 SnapAct::Txn { obj, ops, commit } => {
                     let o = obj % objs.len();
-                    let big = cs
-                        .with_store(|st| st.object_stats(&objs[o]))
-                        .unwrap()
-                        .max_seg_pages
-                        >= 16;
                     let txn = cs.begin();
                     let mut work = objs[o].clone();
                     let mut m = models[o].clone();
@@ -494,7 +492,6 @@ proptest! {
                         let Some(c) = concretize(op, m.len() as u64, seed, caps[o]) else {
                             continue;
                         };
-                        split_under_pin |= big && !pins.is_empty() && matches!(c, Cop::Replace(..));
                         model_apply(&mut m, &c);
                         txn_apply(&txn, &mut work, &c);
                     }
@@ -508,6 +505,7 @@ proptest! {
                     drop(mid);
                     if *commit {
                         txn.commit().unwrap();
+                        in_place_under_pin |= overlay.get() > 0;
                         objs[o] = work;
                         models[o] = m;
                     } else {
@@ -543,10 +541,11 @@ proptest! {
             assert_pinned_view(snap, &objs, at_pin);
         }
         drop(pins);
-        let reached = SPLIT_UNDER_PIN.fetch_add(u32::from(split_under_pin), Ordering::Relaxed)
-            + u32::from(split_under_pin);
+        prop_assert_eq!(overlay.get(), 0, "before-images outlived the last pin");
+        let reached = IN_PLACE_UNDER_PIN.fetch_add(u32::from(in_place_under_pin), Ordering::Relaxed)
+            + u32::from(in_place_under_pin);
         let cases = PIN_CASES.fetch_add(1, Ordering::Relaxed) + 1;
-        eprintln!("pinned_readers_see_their_pin_point: {reached} of {cases} cases replaced into an object with a ≥ 2T-page segment under a live pin");
+        eprintln!("pinned_readers_see_their_pin_point: {reached} of {cases} cases committed an in-place replace under a live pin");
 
         let store = match cs.try_into_inner() {
             Ok(s) => s,

@@ -687,3 +687,63 @@ fn disjoint_replaces_of_one_object_keep_both_updates() {
     assert_eq!(cs.snapshot().read_all(id).unwrap(), model);
     check_clean(cs, &[("obj".to_string(), b)]);
 }
+
+/// Read-your-writes through the stash: one `Txn` replaces bytes in
+/// place (held back until commit), reads them, inserts in front of
+/// them — an insert whose rewrite reads the stashed page — and reads
+/// again; a concurrent snapshot sees none of it until the commit.
+#[test]
+fn one_txn_reads_its_own_in_place_writes() {
+    let metrics = Metrics::new();
+    let mut store = durable_store(&metrics);
+    let mut model = pattern(21, 40_000);
+    let mut obj = store.create_with(&model, Some(40_000)).unwrap();
+    let cs = ConcurrentStore::new(store);
+
+    let txn = cs.begin();
+    txn.replace(&mut obj, 10_000, &pattern(22, 300)).unwrap();
+    model[10_000..10_300].copy_from_slice(&pattern(22, 300));
+    assert_eq!(txn.read(&obj, 9_900, 500).unwrap(), model[9_900..10_400]);
+    txn.insert(&mut obj, 9_950, &pattern(23, 120)).unwrap();
+    model.splice(9_950..9_950, pattern(23, 120));
+    assert_eq!(txn.read_all(&obj).unwrap(), model);
+    assert_eq!(
+        cs.snapshot().read_all(obj.id()).unwrap(),
+        pattern(21, 40_000),
+        "the uncommitted writes leaked to a snapshot"
+    );
+    txn.commit().unwrap();
+    assert_eq!(cs.snapshot().read_all(obj.id()).unwrap(), model);
+    check_clean(cs, &[("obj".to_string(), obj)]);
+}
+
+/// The cost rule bounds a replace's redo: a 1 MiB `Txn::replace` on the
+/// benchmark's layout (4 KiB pages, a 1024-page log) rewrites the
+/// segments it covers whole and writes only the boundary pages in
+/// place, so its commit frame fits a log half.
+#[test]
+fn a_one_mib_replace_fits_the_benchmark_log() {
+    const PAGE: usize = 4096;
+    const PPS: u64 = 2048;
+    const WAL_PAGES: u64 = 1024;
+    let volume = MemVolume::with_profile(PAGE, (PPS + 1) * 2 + WAL_PAGES, DiskProfile::FREE);
+    let mut store =
+        ObjectStore::create_durable(volume.shared(), 2, PPS, StoreConfig::default(), WAL_PAGES)
+            .unwrap();
+    let mut model = Vec::new();
+    let mut obj = store.create_with(&[], None).unwrap();
+    for i in 0..40u8 {
+        let chunk = pattern(i, 64 * 1024);
+        store.append(&mut obj, &chunk).unwrap();
+        model.extend_from_slice(&chunk);
+    }
+    let cs = ConcurrentStore::new(store);
+    let data = pattern(99, 1 << 20);
+    let at = 300_001;
+    let txn = cs.begin();
+    txn.replace(&mut obj, at as u64, &data).unwrap();
+    txn.commit().unwrap();
+    model[at..at + data.len()].copy_from_slice(&data);
+    assert_eq!(cs.snapshot().read_all(obj.id()).unwrap(), model);
+    check_clean(cs, &[("obj".to_string(), obj)]);
+}
